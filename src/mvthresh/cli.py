@@ -16,12 +16,20 @@ from pathlib import Path
 
 from .image import GrayImage, PgmError, compute_histogram, read_pgm, write_pgm
 from .otsu import otsu_multilevel_exhaustive
-from .quality import QualityReport, median_elapsed_ms, mse, psnr, timed
+from .quality import (
+    QualityReport,
+    format_db,
+    histogram_mse,
+    median_elapsed_ms,
+    psnr_from_mse,
+    timed,
+)
 from .segmentation import (
     Replacement,
     SegmentationParams,
     auto_select_n,
     segment_image,
+    segment_pixels,
 )
 
 EXIT_OK = 0
@@ -127,12 +135,13 @@ def _print_thresholds(thresholds) -> None:
 def cmd_segment(args) -> int:
     params = _segmentation_params(args)
     image = _load_image(args.input)
-    (result, quantized), elapsed = timed(segment_image, image, params)
+    (hist, result, quantized), elapsed = timed(segment_pixels, image, params)
     Path(args.output).write_bytes(write_pgm(quantized))
 
+    err = histogram_mse(hist, result.lut)
     quality = QualityReport(
-        mse=mse(image, quantized),
-        psnr_db=psnr(image, quantized),
+        mse=err,
+        psnr_db=psnr_from_mse(err),
         elapsed_ms=elapsed,
         params=params,
     )
@@ -149,8 +158,7 @@ def cmd_segment(args) -> int:
 
     _print_thresholds(result.thresholds)
     print(f"effective_n: {result.effective_n}")
-    value = quality.psnr_db
-    print(f"psnr_db: {'inf' if math.isinf(value) else f'{value:.2f}'}")
+    print(f"psnr_db: {format_db(quality.psnr_db, 2)}")
     return EXIT_OK
 
 
@@ -167,13 +175,9 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["n", "psnr_db", "elapsed_ms"])
         for point in sweep:
-            writer.writerow([point.n, _csv_db(point.psnr_db), f"{point.elapsed_ms:.3f}"])
+            writer.writerow([point.n, format_db(point.psnr_db, 4), f"{point.elapsed_ms:.3f}"])
     print(f"chosen_n: {chosen}")
     return EXIT_OK
-
-
-def _csv_db(value: float) -> str:
-    return "inf" if math.isinf(value) else f"{value:.4f}"
 
 
 def cmd_otsu(args) -> int:
@@ -227,19 +231,20 @@ def cmd_bench(args) -> int:
     rows = []
     for path in paths:
         image = _load_image(str(path))
+        hist = compute_histogram(image)
         for n in levels:
             params = SegmentationParams(n=n, kappa_schedule=((args.kappa, args.kappa),))
-            (result, quantized), elapsed = median_elapsed_ms(
+            (result, _), elapsed = median_elapsed_ms(
                 segment_image, image, params, runs=BENCH_RUNS
             )
-            value = psnr(image, quantized)
+            value = psnr_from_mse(histogram_mse(hist, result.lut))
             rows.append(
                 {
                     "image": str(path),
                     "n": n,
                     "thresholds": " ".join(str(t) for t in result.thresholds),
                     "elapsed_ms": f"{elapsed:.3f}",
-                    "psnr_db": _csv_db(value),
+                    "psnr_db": format_db(value, 4),
                 }
             )
     with open(args.csv, "w", newline="", encoding="utf-8") as fh:

@@ -8,6 +8,7 @@ rescanning pixels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -103,6 +104,22 @@ class Histogram:
         object.__setattr__(self, "bins", _frozen_copy(raw))
         object.__setattr__(self, "total", int(raw.sum()))
 
+    @cached_property
+    def moments(self) -> tuple[list[int], list[int], list[int]]:
+        """Cumulative count, intensity sum and squared-intensity sum.
+
+        Each column holds 257 exact integers; entry i sums bins [0, i), so
+        the moments of [lo, hi] are entry hi+1 minus entry lo. Built on
+        first use and shared by every later query on this histogram.
+        """
+        values = np.arange(LEVELS, dtype=np.int64)
+        columns = []
+        for weight in (1, values, values * values):
+            column = np.zeros(LEVELS + 1, dtype=np.int64)
+            np.cumsum(self.bins * weight, out=column[1:])
+            columns.append(column.tolist())
+        return tuple(columns)
+
     def __eq__(self, other):
         if not isinstance(other, Histogram):
             return NotImplemented
@@ -182,6 +199,13 @@ def read_pgm(data: bytes) -> GrayImage:
             raise PgmLengthError(f"raster holds {len(raster)} bytes, expected {count}")
         pixels = np.frombuffer(raster, dtype=np.uint8)
     else:
+        # every sample takes a digit and all but the last a separator, so a
+        # short payload is rejected before a header-sized allocation
+        available = len(data) - pos
+        if available < 2 * count - 1:
+            raise PgmLengthError(
+                f"raster of {available} bytes cannot hold {count} samples"
+            )
         samples = np.empty(count, dtype=np.uint8)
         for i in range(count):
             try:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .image import LEVELS, MAX_INTENSITY, Histogram
+from .image import MAX_INTENSITY, Histogram
 
 # maximizing sum(w_c * mu_c^2) is equivalent to maximizing the between-class
 # variance (they differ by the constant mu_total^2); the scan works with
@@ -43,9 +43,8 @@ class OtsuResult:
 
 def _prefix_sums(hist: Histogram) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative count and intensity-weighted sums, length 257."""
-    counts = np.concatenate(([0], np.cumsum(hist.bins)))
-    weighted = np.concatenate(([0], np.cumsum(np.arange(LEVELS, dtype=np.int64) * hist.bins)))
-    return counts, weighted
+    counts, weighted, _ = hist.moments
+    return np.array(counts, dtype=np.int64), np.array(weighted, dtype=np.int64)
 
 
 def between_class_variance(hist: Histogram, thresholds) -> float:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 import numpy as np
 
-from .image import GrayImage
+from .image import LEVELS, GrayImage, Histogram
 
 if TYPE_CHECKING:
     from .segmentation import SegmentationParams
@@ -23,6 +23,8 @@ if TYPE_CHECKING:
 T = TypeVar("T")
 
 PEAK = 255
+
+_VALUES = np.arange(LEVELS, dtype=np.int64)
 
 
 def mse(a: GrayImage, b: GrayImage) -> float:
@@ -35,12 +37,30 @@ def mse(a: GrayImage, b: GrayImage) -> float:
     return int((diff * diff).sum()) / diff.size
 
 
-def psnr(a: GrayImage, b: GrayImage) -> float:
-    """Peak signal-to-noise ratio in dB; math.inf for identical images."""
-    err = mse(a, b)
+def histogram_mse(hist: Histogram, lut: np.ndarray) -> float:
+    """MSE of quantizing the histogram's image through ``lut``, without its pixels.
+
+    Every pixel of value v maps to lut[v], so the squared error sums to
+    sum_v bins[v] * (v - lut[v])^2. The integer numerator and the pixel
+    count equal those :func:`mse` divides, so the result is bit-identical
+    to ``mse(image, quantized)``.
+    """
+    if hist.total == 0:
+        raise ValueError("cannot measure the error of an empty image")
+    diff = _VALUES - lut.astype(np.int64)
+    return int((hist.bins * diff * diff).sum()) / hist.total
+
+
+def psnr_from_mse(err: float) -> float:
+    """Peak signal-to-noise ratio in dB for an MSE; math.inf when it is 0."""
     if err == 0.0:
         return math.inf
     return 10.0 * math.log10(PEAK * PEAK / err)
+
+
+def psnr(a: GrayImage, b: GrayImage) -> float:
+    """Peak signal-to-noise ratio in dB; math.inf for identical images."""
+    return psnr_from_mse(mse(a, b))
 
 
 def timed(fn: Callable[..., T], *args, **kwargs) -> tuple[T, float]:
@@ -66,12 +86,19 @@ def median_elapsed_ms(fn: Callable[..., T], *args, runs: int = 20, **kwargs) -> 
     return out, statistics.median(times)
 
 
-def format_db(value: float) -> str:
-    """Serialize a dB value; infinity becomes the sentinel string "inf"."""
-    return "inf" if math.isinf(value) else repr(value)
+def format_db(value: float, digits: int | None = None) -> str:
+    """Serialize a dB value; infinity becomes the sentinel string "inf".
+
+    With ``digits`` the value is rounded to that many decimals; without, it
+    is written in full (``repr``) so that :func:`parse_db` restores it exactly.
+    """
+    if math.isinf(value):
+        return "inf"
+    return repr(value) if digits is None else f"{value:.{digits}f}"
 
 
 def parse_db(text: Any) -> float:
+    """Inverse of :func:`format_db`: the "inf" sentinel or a decimal number."""
     if text == "inf":
         return math.inf
     return float(text)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .image import LEVELS, MAX_INTENSITY, GrayImage, Histogram, compute_histogram
-from .quality import psnr, timed
+from .quality import histogram_mse, psnr_from_mse, timed
 from .stats import (
     RangeStats,
     SubRange,
@@ -162,7 +162,8 @@ def _final_split(
     split = weighted_mean(hist, r)
     if split is None:
         split = midpoint(r)
-    upper_empty = split >= r.hi or int(hist.bins[split + 1 : r.hi + 1].sum()) == 0
+    counts = hist.moments[0]
+    upper_empty = split >= r.hi or counts[r.hi + 1] == counts[split + 1]
     if upper_empty:
         # nothing above the mean: keep the residual range as one class so
         # every level it covers maps to the same value the pixels map to
@@ -213,17 +214,41 @@ def apply_mapping(image: GrayImage, result: SegmentationResult) -> GrayImage:
     return GrayImage(image.width, image.height, result.lut[image.pixels])
 
 
+def segment_pixels(
+    image: GrayImage, params: SegmentationParams
+) -> tuple[Histogram, SegmentationResult, GrayImage]:
+    """Full pipeline, keeping the histogram for histogram-domain quality.
+
+    These are the only two passes over the pixels: the histogram and the
+    mapping through the lookup table.
+    """
+    hist = compute_histogram(image)
+    result = segment(hist, params)
+    return hist, result, apply_mapping(image, result)
+
+
 def segment_image(
     image: GrayImage, params: SegmentationParams
 ) -> tuple[SegmentationResult, GrayImage]:
     """Full pipeline: histogram, recursive cuts, quantized raster."""
-    result = segment(compute_histogram(image), params)
-    return result, apply_mapping(image, result)
+    _, result, quantized = segment_pixels(image, params)
+    return result, quantized
+
+
+def _sweep_psnr(hist: Histogram, params: SegmentationParams) -> float:
+    return psnr_from_mse(histogram_mse(hist, segment(hist, params).lut))
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One evaluated threshold count in a PSNR sweep."""
+    """One evaluated threshold count in a PSNR sweep.
+
+    ``psnr_db`` equals ``psnr(image, quantized)`` for the quantized raster
+    of this n, though the sweep never builds that raster. ``elapsed_ms``
+    times this n's histogram-domain work only: the recursive cuts and the
+    MSE/PSNR from the histogram. The one histogram pass the whole sweep
+    shares is not in any point.
+    """
 
     n: int
     psnr_db: float
@@ -242,17 +267,20 @@ def auto_select_n(
     n+2 falls below ``epsilon`` dB, together with every evaluated sweep point.
     An infinite PSNR (exact reconstruction) saturates immediately; without
     saturation the sweep runs through ``n_max`` and returns it.
+
+    The pixels are read once, for the histogram. Each n is then evaluated
+    from the histogram alone: its cuts, and its PSNR from the exact
+    histogram-domain MSE, so no quantized raster is ever built.
     """
     if not math.isfinite(epsilon) or epsilon <= 0.0:
         raise ValueError("epsilon must be positive and finite")
     if n_max % 2 == 0 or n_max < 3:
         raise ValueError(f"n_max must be an odd integer >= 3, got {n_max}")
+    hist = compute_histogram(image)
     sweep: list[SweepPoint] = []
     previous: tuple[int, float] | None = None
     for n in range(3, n_max + 1, 2):
-        params = replace(base, n=n)
-        (_, quantized), elapsed = timed(segment_image, image, params)
-        value = psnr(image, quantized)
+        value, elapsed = timed(_sweep_psnr, hist, replace(base, n=n))
         sweep.append(SweepPoint(n=n, psnr_db=value, elapsed_ms=elapsed))
         if math.isinf(value):
             return n, sweep

@@ -10,11 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .image import MAX_INTENSITY, Histogram
-
-_VALUES = np.arange(256, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -54,12 +50,9 @@ class RangeStats:
 
 
 def _moments(hist: Histogram, r: SubRange) -> tuple[int, int, int]:
-    seg = hist.bins[r.lo : r.hi + 1]
-    values = _VALUES[r.lo : r.hi + 1]
-    s0 = int(seg.sum())
-    s1 = int((values * seg).sum())
-    s2 = int((values * values * seg).sum())
-    return s0, s1, s2
+    c0, c1, c2 = hist.moments
+    lo, end = r.lo, r.hi + 1
+    return c0[end] - c0[lo], c1[end] - c1[lo], c2[end] - c2[lo]
 
 
 def range_stats(hist: Histogram, r: SubRange) -> RangeStats:
@@ -78,11 +71,9 @@ def weighted_mean(hist: Histogram, r: SubRange) -> int | None:
 
     Returns None when the sub-range holds no pixels.
     """
-    seg = hist.bins[r.lo : r.hi + 1]
-    s0 = int(seg.sum())
+    s0, s1, _ = _moments(hist, r)
     if s0 == 0:
         return None
-    s1 = int((_VALUES[r.lo : r.hi + 1] * seg).sum())
     # round-half-up of s1/s0 in pure integer arithmetic
     return (2 * s1 + s0) // (2 * s0)
 

@@ -1,10 +1,13 @@
 import csv
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+import mvthresh.cli as cli_module
+import mvthresh.quality as quality_module
 from mvthresh.cli import RunReport, main
 from mvthresh.image import GrayImage, read_pgm, write_pgm
 from mvthresh.synthetic import soft_blobs
@@ -94,6 +97,36 @@ class TestSegmentCommand:
              "--output", str(tmp_path / "x.pgm")]
         )
         assert code == EXIT_IO
+
+    def test_oversized_ascii_header_is_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "huge.pgm"
+        bad.write_bytes(b"P2\n200000 200000\n255\n0 0 0\n")
+        start = time.perf_counter()
+        code = main(
+            ["segment", "--input", str(bad), "--levels", "3",
+             "--output", str(tmp_path / "x.pgm")]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_quality_never_rescans_pixels(self, tmp_path, blob_pgm, monkeypatch):
+        calls = []
+        real = quality_module.mse
+        for module in (quality_module, cli_module):
+            monkeypatch.setattr(
+                module, "mse", lambda a, b: calls.append(1) or real(a, b), raising=False
+            )
+        report = tmp_path / "r.json"
+        assert main(
+            ["segment", "--input", str(blob_pgm), "--levels", "7",
+             "--output", str(tmp_path / "o.pgm"), "--report", str(report)]
+        ) == EXIT_OK
+        assert calls == []
+        quantized = read_pgm((tmp_path / "o.pgm").read_bytes())
+        original = read_pgm(blob_pgm.read_bytes())
+        assert RunReport.from_json(report.read_text()).quality.mse == real(original, quantized)
 
     def test_bad_kappa_schedule_rejected(self, tmp_path, blob_pgm):
         code = main(

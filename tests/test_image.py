@@ -14,8 +14,8 @@ from mvthresh.image import (
     write_pgm,
 )
 
-from conftest import gray_images
-from oracles import pixel_tally
+from conftest import gray_images, histograms
+from oracles import moments, pixel_tally
 
 
 class TestReadPgm:
@@ -73,6 +73,17 @@ class TestReadPgm:
     def test_ascii_sample_above_maxval_rejected(self):
         with pytest.raises(PgmFormatError):
             read_pgm(b"P2 1 1 255\n300\n")
+
+    def test_oversized_ascii_header_rejected_before_allocation(self):
+        # declares 4e10 samples in 27 bytes; allocating first would need 37 GiB
+        data = b"P2\n200000 200000\n255\n0 0 0\n"
+        assert len(data) == 27
+        with pytest.raises(PgmLengthError):
+            read_pgm(data)
+
+    def test_shortest_ascii_payload_accepted(self):
+        img = read_pgm(b"P2 3 1 255\n1 2 3")
+        assert list(img.pixels) == [1, 2, 3]
 
     def test_trailing_bytes_tolerated(self):
         img = read_pgm(b"P5 1 1 255\n" + bytes([42]) + b"\n")
@@ -167,3 +178,11 @@ class TestHistogram:
         rnd.shuffle(pixels)
         shuffled = GrayImage(img.width, img.height, np.array(pixels, dtype=np.uint8))
         assert compute_histogram(shuffled) == compute_histogram(img)
+
+    @given(histograms())
+    def test_moment_table_matches_oracle(self, hist):
+        c0, c1, c2 = hist.moments
+        assert len(c0) == len(c1) == len(c2) == 257
+        for end in (0, 1, 128, 256):
+            assert (c0[end], c1[end], c2[end]) == moments(hist.bins, 0, end - 1)
+        assert c0[256] == hist.total

@@ -3,16 +3,21 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from mvthresh.image import GrayImage
+from mvthresh.image import GrayImage, Histogram, compute_histogram
 from mvthresh.quality import (
     QualityReport,
+    format_db,
+    histogram_mse,
     median_elapsed_ms,
     mse,
+    parse_db,
     psnr,
+    psnr_from_mse,
     timed,
 )
-from mvthresh.segmentation import SegmentationParams
+from mvthresh.segmentation import Replacement, SegmentationParams, segment_image
 
 from conftest import gray_images
 
@@ -79,6 +84,51 @@ class TestPsnr:
         far = img([30, 80, 130, 230])
         assert mse(base, near) < mse(base, far)
         assert psnr(base, near) > psnr(base, far)
+
+
+class TestHistogramMse:
+    @given(
+        gray_images(),
+        st.sampled_from([3, 5, 7, 9, 11]),
+        st.sampled_from(list(Replacement)),
+    )
+    def test_equals_pixel_mse_exactly(self, img, n, mode):
+        result, quantized = segment_image(img, SegmentationParams(n=n, replacement=mode))
+        err = histogram_mse(compute_histogram(img), result.lut)
+        assert err == mse(img, quantized)
+        assert psnr_from_mse(err) == psnr(img, quantized)
+
+    def test_empty_histogram_rejected(self):
+        with pytest.raises(ValueError):
+            histogram_mse(Histogram(np.zeros(256, dtype=np.int64)), np.zeros(256, np.uint8))
+
+
+class TestDbText:
+    @pytest.mark.parametrize(
+        "value, digits, text",
+        [
+            (math.inf, None, "inf"),
+            (math.inf, 2, "inf"),
+            (48.13080360867911, None, "48.13080360867911"),
+            (48.13080360867911, 2, "48.13"),
+            (48.13080360867911, 4, "48.1308"),
+            (7.0, 4, "7.0000"),
+        ],
+    )
+    def test_format(self, value, digits, text):
+        assert format_db(value, digits) == text
+
+    @given(st.floats(min_value=0.0, allow_nan=False))
+    def test_full_precision_round_trip(self, value):
+        assert parse_db(format_db(value)) == value
+
+    def test_inf_round_trip(self):
+        assert parse_db("inf") == math.inf
+        assert parse_db(format_db(parse_db("inf"))) == math.inf
+
+    def test_parse_accepts_numbers(self):
+        assert parse_db("44.15") == 44.15
+        assert parse_db(12) == 12.0
 
 
 class TestTimed:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mvthresh.quality as quality_module
 import mvthresh.segmentation as seg_module
 from mvthresh.image import GrayImage, Histogram, compute_histogram
 from mvthresh.quality import mse, psnr
@@ -272,6 +273,27 @@ class TestAutoSelect:
         for point in sweep:
             _, out = segment_image(img, SegmentationParams(n=point.n))
             assert point.psnr_db == psnr(img, out)
+
+    def test_one_pixel_pass_per_sweep(self, natural_images, monkeypatch):
+        calls = {"compute_histogram": 0, "apply_mapping": 0, "mse": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(seg_module, "compute_histogram")
+        counting(seg_module, "apply_mapping")
+        counting(quality_module, "mse")
+        _, sweep = auto_select_n(
+            natural_images["soft_blobs"], SegmentationParams(n=3), 1e-12, 15
+        )
+        assert len(sweep) > 1
+        assert calls == {"compute_histogram": 1, "apply_mapping": 0, "mse": 0}
 
     def test_bad_epsilon_rejected(self):
         img = GrayImage(2, 2, [0, 1, 2, 3])
