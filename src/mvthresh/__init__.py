@@ -27,9 +27,8 @@ from .segmentation import (
     auto_select_n,
     segment,
     segment_image,
-    step_thresholds,
 )
-from .stats import RangeStats, SubRange, midpoint, range_stats, weighted_mean
+from .stats import SubRange, midpoint, range_stats, weighted_mean
 
 __version__ = "0.1.0"
 
@@ -42,7 +41,6 @@ __all__ = [
     "PgmFormatError",
     "PgmLengthError",
     "QualityReport",
-    "RangeStats",
     "Replacement",
     "SegmentationParams",
     "SegmentationResult",
@@ -62,7 +60,6 @@ __all__ = [
     "read_pgm",
     "segment",
     "segment_image",
-    "step_thresholds",
     "timed",
     "weighted_mean",
     "write_pgm",

@@ -1,6 +1,7 @@
 """Command-line front end: segment images, sweep PSNR vs n, Otsu, benchmark.
 
-Exit codes: 0 success, 1 I/O failure, 2 usage or validation failure.
+Exit codes: 0 success, 1 unreadable or malformed input file, 2 any flag value
+the library rejects (``main`` maps its ``ValueError`` to exit 2).
 All output is deterministic for identical inputs; only timings vary.
 """
 
@@ -9,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,10 +37,6 @@ EXIT_IO = 1
 EXIT_USAGE = 2
 
 BENCH_RUNS = 20
-
-
-class UsageError(Exception):
-    """Flag combination or value the CLI rejects with exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -91,37 +87,24 @@ def _parse_kappa_schedule(text: str) -> tuple[tuple[float, float], ...]:
     """Parse ``k1:k2,k1:k2,...`` into per-pass kappa pairs."""
     pairs = []
     for chunk in text.split(","):
-        parts = chunk.split(":")
-        if len(parts) != 2:
-            raise UsageError(f"bad kappa schedule entry {chunk!r}, expected k1:k2")
         try:
-            k1, k2 = float(parts[0]), float(parts[1])
+            k1, k2 = map(float, chunk.split(":"))
         except ValueError:
-            raise UsageError(f"bad kappa schedule entry {chunk!r}, expected numbers") from None
-        if not (math.isfinite(k1) and k1 > 0 and math.isfinite(k2) and k2 > 0):
-            raise UsageError("kappa values must be positive and finite")
+            raise ValueError(f"bad kappa schedule entry {chunk!r}, expected k1:k2") from None
         pairs.append((k1, k2))
     return tuple(pairs)
 
 
 def _segmentation_params(args) -> SegmentationParams:
-    if args.levels % 2 == 0 or args.levels < 3:
-        raise UsageError(
-            f"--levels must be an odd integer >= 3 (pairs of cuts plus one middle "
-            f"threshold), got {args.levels}"
-        )
     if args.kappa_schedule is not None:
         schedule = _parse_kappa_schedule(args.kappa_schedule)
     else:
         schedule = ((args.kappa, args.kappa),)
-    try:
-        return SegmentationParams(
-            n=args.levels,
-            kappa_schedule=schedule,
-            replacement=Replacement(args.replacement),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return SegmentationParams(
+        n=args.levels,
+        kappa_schedule=schedule,
+        replacement=Replacement(args.replacement),
+    )
 
 
 def _load_image(path: str) -> GrayImage:
@@ -163,10 +146,6 @@ def cmd_segment(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.max_levels % 2 == 0 or args.max_levels < 3:
-        raise UsageError(f"--max-levels must be an odd integer >= 3, got {args.max_levels}")
-    if not math.isfinite(args.epsilon) or args.epsilon <= 0:
-        raise UsageError("--epsilon must be positive and finite")
     image = _load_image(args.input)
     chosen, sweep = auto_select_n(
         image, SegmentationParams(n=3), epsilon=args.epsilon, n_max=args.max_levels
@@ -182,7 +161,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_otsu(args) -> int:
     if not 2 <= args.classes <= 4:
-        raise UsageError(f"--classes must be in [2, 4], got {args.classes}")
+        raise ValueError(f"--classes must be in [2, 4], got {args.classes}")
     image = _load_image(args.input)
     hist = compute_histogram(image)
     result, elapsed = timed(otsu_multilevel_exhaustive, hist, args.classes - 1)
@@ -211,29 +190,30 @@ def _bench_inputs(entries) -> list[Path]:
             paths.append(p)
     paths = sorted(set(paths))
     if not paths:
-        raise UsageError("no input images to benchmark")
+        raise ValueError("no input images to benchmark")
     return paths
 
 
 def _parse_levels_list(text: str) -> list[int]:
     try:
-        levels = [int(chunk) for chunk in text.split(",")]
+        levels = {int(chunk) for chunk in text.split(",")}
     except ValueError:
-        raise UsageError(f"bad --levels list {text!r}") from None
-    if not levels or any(n % 2 == 0 or n < 3 for n in levels):
-        raise UsageError("every benchmark level must be an odd integer >= 3")
-    return sorted(set(levels))  # rows come out ordered by path, then n
+        raise ValueError(f"bad --levels list {text!r}") from None
+    return sorted(levels)  # rows come out ordered by path, then n
 
 
 def cmd_bench(args) -> int:
-    levels = _parse_levels_list(args.levels)
+    schedule = ((args.kappa, args.kappa),)
+    level_params = [
+        SegmentationParams(n=n, kappa_schedule=schedule)
+        for n in _parse_levels_list(args.levels)
+    ]
     paths = _bench_inputs(args.input)
     rows = []
     for path in paths:
         image = _load_image(str(path))
         hist = compute_histogram(image)
-        for n in levels:
-            params = SegmentationParams(n=n, kappa_schedule=((args.kappa, args.kappa),))
+        for params in level_params:
             (result, _), elapsed = median_elapsed_ms(
                 segment_image, image, params, runs=BENCH_RUNS
             )
@@ -241,7 +221,7 @@ def cmd_bench(args) -> int:
             rows.append(
                 {
                     "image": str(path),
-                    "n": n,
+                    "n": params.n,
                     "thresholds": " ".join(str(t) for t in result.thresholds),
                     "elapsed_ms": f"{elapsed:.3f}",
                     "psnr_db": format_db(value, 4),
@@ -307,15 +287,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (PgmError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ValueError as exc:  # after PgmError, which subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PgmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 def run() -> None:

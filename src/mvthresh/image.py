@@ -167,7 +167,10 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
     if not token.isdigit():
         raise PgmFormatError(f"bad {what} field: {token!r}")
-    return int(token), pos
+    try:
+        return int(token), pos
+    except ValueError:  # Python >= 3.11 caps int() at 4300 digits
+        raise PgmFormatError(f"{what} field has {len(token)} digits") from None
 
 
 def read_pgm(data: bytes) -> GrayImage:

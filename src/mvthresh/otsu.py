@@ -24,6 +24,16 @@ _REL_BAND = 1e-9  # float slack; anything this close to the max is re-scored exa
 _CUT_MAX = MAX_INTENSITY - 1  # a threshold at 255 would leave an empty top class
 
 
+def _checked_thresholds(thresholds) -> tuple[int, ...]:
+    """``thresholds`` as ints, rejected unless strictly increasing in [0, 254]."""
+    ts = tuple(int(t) for t in thresholds)
+    if any(not 0 <= t <= _CUT_MAX for t in ts):
+        raise ValueError(f"thresholds must lie in [0, 254]: {ts}")
+    if any(a >= b for a, b in zip(ts, ts[1:])):
+        raise ValueError(f"thresholds not strictly increasing: {ts}")
+    return ts
+
+
 @dataclass(frozen=True)
 class OtsuResult:
     """Chosen thresholds and the between-class variance they achieve."""
@@ -32,11 +42,7 @@ class OtsuResult:
     criterion: float
 
     def __post_init__(self):
-        object.__setattr__(self, "thresholds", tuple(int(t) for t in self.thresholds))
-        if any(not 0 <= t <= _CUT_MAX for t in self.thresholds):
-            raise ValueError(f"thresholds must lie in [0, 254]: {self.thresholds}")
-        if any(a >= b for a, b in zip(self.thresholds, self.thresholds[1:])):
-            raise ValueError(f"thresholds not strictly increasing: {self.thresholds}")
+        object.__setattr__(self, "thresholds", _checked_thresholds(self.thresholds))
         if self.criterion < 0.0:
             raise ValueError("between-class variance cannot be negative")
 
@@ -53,24 +59,17 @@ def between_class_variance(hist: Histogram, thresholds) -> float:
     ``thresholds`` must be strictly increasing within [0, 254] and partition
     [0, 255] into classes [0, t1], [t1+1, t2], ..., [t_k+1, 255].
     """
-    ts = tuple(int(t) for t in thresholds)
-    if any(not 0 <= t <= _CUT_MAX for t in ts):
-        raise ValueError(f"thresholds must lie in [0, 254]: {ts}")
-    if any(a >= b for a, b in zip(ts, ts[1:])):
-        raise ValueError(f"thresholds not strictly increasing: {ts}")
+    ts = _checked_thresholds(thresholds)
     if hist.total == 0:
         return 0.0
-    counts, weighted = _prefix_sums(hist)
+    counts, weighted, _ = hist.moments
+    signature = _class_signature(counts, weighted, ts)
     n = hist.total
-    mu_total = int(weighted[-1]) / n
+    mu_total = weighted[-1] / n
     acc = 0.0
-    bounds = (-1,) + ts + (MAX_INTENSITY,)
-    for lo, hi in zip(bounds, bounds[1:]):
-        c = int(counts[hi + 1] - counts[lo + 1])
-        if c == 0:
-            continue
-        mu = int(weighted[hi + 1] - weighted[lo + 1]) / c
-        acc += (c / n) * (mu - mu_total) ** 2
+    for c, s in zip(signature[::2], signature[1::2]):
+        if c:
+            acc += (c / n) * (s / c - mu_total) ** 2
     return acc
 
 

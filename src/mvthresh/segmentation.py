@@ -110,7 +110,7 @@ class SegmentationResult:
         for interval, value in self.classes:
             if interval.lo != position:
                 raise ValueError("classes must tile [0, 255] without gaps or overlaps")
-            if not interval.contains(value):
+            if not interval.lo <= value <= interval.hi:
                 raise ValueError(f"replacement {value} outside its interval {interval}")
             lut[interval.lo : interval.hi + 1] = value
             position = interval.hi + 1
@@ -273,7 +273,7 @@ def auto_select_n(
     histogram-domain MSE, so no quantized raster is ever built.
     """
     if not math.isfinite(epsilon) or epsilon <= 0.0:
-        raise ValueError("epsilon must be positive and finite")
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if n_max % 2 == 0 or n_max < 3:
         raise ValueError(f"n_max must be an odd integer >= 3, got {n_max}")
     hist = compute_histogram(image)

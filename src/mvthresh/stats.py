@@ -28,9 +28,6 @@ class SubRange:
     def width(self) -> int:
         return self.hi - self.lo + 1
 
-    def contains(self, value: int) -> bool:
-        return self.lo <= value <= self.hi
-
 
 @dataclass(frozen=True)
 class RangeStats:

@@ -65,6 +65,24 @@ def subranges(draw):
     return SubRange(lo, hi)
 
 
+def pgm_bytes(max_size=200):
+    """At most ``max_size`` bytes: raw, or after a PGM magic or full header.
+
+    Half the bodies are blank-separated numbers, often at an edge (0, 1,
+    255, 256), so the size, maxval and sample checks are reached.
+    """
+    prefix = st.sampled_from([b"", b"P2", b"P5", b"P2 2 1 255\n", b"P5 2 1 255\n"])
+    number = st.one_of(st.sampled_from([0, 1, 2, 255, 256]), st.integers(0, 999)).map(
+        lambda v: b"%d" % v
+    )
+    blank = st.sampled_from([b" ", b"\n", b"\t", b"#c\n"])
+    numbers = st.lists(st.tuples(blank, number)).map(
+        lambda pairs: b"".join(a + b for a, b in pairs)
+    )
+    body = st.one_of(st.binary(), numbers)
+    return st.tuples(prefix, body).map(lambda parts: b"".join(parts)[:max_size])
+
+
 # --- fixture corpus ---------------------------------------------------------
 
 def _natural_corpus():

@@ -5,12 +5,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import mvthresh.cli as cli_module
 import mvthresh.quality as quality_module
 from mvthresh.cli import RunReport, main
 from mvthresh.image import GrayImage, read_pgm, write_pgm
 from mvthresh.synthetic import soft_blobs
+
+from conftest import pgm_bytes
 
 EXIT_OK, EXIT_IO, EXIT_USAGE = 0, 1, 2
 
@@ -307,3 +310,80 @@ class TestReportRoundTrip:
         assert math.isinf(parsed.quality.psnr_db)
         assert parsed.quality.mse == 0.0
         assert parsed.thresholds == (100,)
+
+
+# Each flag value here is rejected by the library (SegmentationParams,
+# auto_select_n) or by cmd_otsu, never by a second check in the CLI; the
+# last item is the text the one error line must quote.
+LIBRARY_CHECKED_FLAGS = [
+    (["segment", "--levels", "4"], "got 4"),
+    (["segment", "--kappa", "0"], "(0.0, 0.0)"),
+    (["segment", "--kappa", "nan"], "(nan, nan)"),
+    (["segment", "--kappa-schedule", "1:2:3"], "'1:2:3'"),
+    (["segment", "--kappa-schedule", "1.0:zap"], "'1.0:zap'"),
+    (["sweep", "--max-levels", "8"], "got 8"),
+    (["sweep", "--epsilon", "0"], "got 0.0"),
+    (["sweep", "--epsilon", "nan"], "got nan"),
+    (["bench", "--levels", "3,4"], "got 4"),
+    (["bench", "--levels", "3,,5"], "'3,,5'"),
+    (["otsu", "--classes", "5"], "got 5"),
+]
+
+VALID_FLAGS = {
+    "segment": ["--levels", "5"],
+    "sweep": ["--max-levels", "9", "--epsilon", "0.3"],
+    "bench": ["--levels", "3"],
+    "otsu": ["--classes", "3"],
+}
+
+OUTPUT_FLAG = {"segment": "--output", "sweep": "--csv", "bench": "--csv", "otsu": "--report"}
+
+
+@pytest.mark.parametrize(
+    "flags, quoted", LIBRARY_CHECKED_FLAGS, ids=[" ".join(f) for f, _ in LIBRARY_CHECKED_FLAGS]
+)
+def test_library_checked_flag_exits_2(tmp_path, blob_pgm, capsys, flags, quoted):
+    command, bad = flags[0], flags[1:]
+    out = tmp_path / "out"
+    # argparse keeps the last value of a repeated flag, so ``bad`` overrides
+    argv = [command, "--input", str(blob_pgm), OUTPUT_FLAG[command], str(out)]
+    assert main(argv + VALID_FLAGS[command] + bad) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and quoted in err[0]
+    assert not out.exists()
+
+
+def test_bench_aborts_on_corrupt_file(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i, name in enumerate(["a.pgm", "c.pgm"]):
+        (corpus / name).write_bytes(write_pgm(soft_blobs(size=16, seed=i)))
+    (corpus / "b.pgm").write_bytes(b"P9 not an image")
+    out_csv = tmp_path / "bench.csv"
+    code = main(["bench", "--input", str(corpus), "--levels", "3", "--csv", str(out_csv)])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out_csv.exists()
+
+
+def test_long_digit_header_field_is_io_error(tmp_path, capsys):
+    bad = tmp_path / "long.pgm"
+    bad.write_bytes(b"P5\n" + b"9" * 5000 + b" 1\n255\n" + bytes(4))
+    code = main(
+        ["segment", "--input", str(bad), "--levels", "3", "--output", str(tmp_path / "x.pgm")]
+    )
+    assert code == EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=pgm_bytes())
+def test_segment_on_arbitrary_bytes_exits_0_1_or_2(tmp_path, data):
+    path = tmp_path / "fuzz.pgm"
+    path.write_bytes(data)
+    code = main(
+        ["segment", "--input", str(path), "--levels", "3", "--output", str(tmp_path / "x.pgm")]
+    )
+    assert code in (EXIT_OK, EXIT_IO, EXIT_USAGE)

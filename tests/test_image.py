@@ -7,6 +7,7 @@ from mvthresh.image import (
     GrayImage,
     Histogram,
     PgmDepthError,
+    PgmError,
     PgmFormatError,
     PgmLengthError,
     compute_histogram,
@@ -14,7 +15,7 @@ from mvthresh.image import (
     write_pgm,
 )
 
-from conftest import gray_images, histograms
+from conftest import gray_images, histograms, pgm_bytes
 from oracles import moments, pixel_tally
 
 
@@ -186,3 +187,19 @@ class TestHistogram:
         for end in (0, 1, 128, 256):
             assert (c0[end], c1[end], c2[end]) == moments(hist.bins, 0, end - 1)
         assert c0[256] == hist.total
+
+
+class TestHostileInput:
+    def test_long_digit_header_field(self):
+        # Python >= 3.11 refuses int() on more than 4300 digits; Python 3.10
+        # parses the width and the length check rejects the short raster
+        with pytest.raises(PgmError):
+            read_pgm(b"P5\n" + b"9" * 5000 + b" 1\n255\n" + bytes(4))
+
+    @given(pgm_bytes())
+    def test_arbitrary_bytes_decode_or_raise_pgm_error(self, data):
+        try:
+            image = read_pgm(data)
+        except PgmError:
+            return
+        assert isinstance(image, GrayImage)
