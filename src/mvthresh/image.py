@@ -173,6 +173,94 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
         raise PgmFormatError(f"{what} field has {len(token)} digits") from None
 
 
+# byte classes of the ASCII raster grammar
+_SPACE, _DIGIT, _OTHER = 0, 1, 2
+_BYTE_KIND = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_KIND[list(_WHITESPACE)] = _SPACE
+_BYTE_KIND[ord("0") : ord("9") + 1] = _DIGIT
+_DIGIT_VALUE = np.arange(LEVELS) - ord("0")
+# ASCII raster bytes decoded at a time, which bounds the decoder's temporaries
+_P2_BLOCK = 1 << 15
+
+
+def _comment_mask(body: np.ndarray) -> np.ndarray:
+    """True on bytes of ``#`` comments: from a line's first ``#`` up to its ``\n``."""
+    hashes = np.cumsum(body == ord("#"))
+    # hashes seen up to the last newline at or before each byte
+    line_start = np.maximum.accumulate(np.where(body == ord("\n"), hashes, 0))
+    return hashes > line_start
+
+
+def _p2_block_samples(data: bytes, start: int, stop: int, wanted: int) -> np.ndarray | None:
+    """Values of the first ``wanted`` tokens in ``data[start:stop]``, or None.
+
+    None means one of those tokens is not a run of one to three digits.
+    """
+    body = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+    kind = _BYTE_KIND[body]
+    if data.find(b"#", start, stop) >= 0:
+        kind[_comment_mask(body)] = _SPACE
+    in_token = np.zeros(body.size + 2, dtype=bool)
+    in_token[1:-1] = kind != _SPACE
+    edges = np.flatnonzero(in_token[1:] != in_token[:-1])  # alternating token start, token end
+    starts, ends = edges[0 : 2 * wanted : 2], edges[1 : 2 * wanted : 2]
+    widths = ends - starts
+    if ends.size and (widths.max() > 3 or kind[: ends[-1]].max() == _OTHER):
+        return None
+    values = _DIGIT_VALUE[body[ends - 1]]
+    for place, scale in ((2, 10), (3, 100)):
+        # clamped into the token: a shorter one must not index before the block
+        digits = _DIGIT_VALUE[body[np.maximum(ends - place, starts)]]
+        values += digits * scale * (widths >= place)
+    return values
+
+
+def _decode_p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
+    """The first ``count`` ASCII samples after ``data[pos]``, decoded with array operations.
+
+    Tokens of one to three digits, which every real P2 file holds, never
+    leave numpy. Anything else (a non-digit byte, a longer field or too few
+    samples) goes to the token walk, which names the first error.
+    """
+    pixels = np.empty(count, dtype=np.uint8)
+    done, start = 0, pos
+    while done < count:
+        if start == len(data):
+            return _walk_p2_raster(data, pos, count, maxval)
+        if len(data) - start <= _P2_BLOCK:
+            stop = len(data)
+        else:  # cut after a newline, so that no token or comment spans two blocks
+            stop = (
+                data.rfind(b"\n", start, start + _P2_BLOCK) + 1
+                or data.find(b"\n", start + _P2_BLOCK) + 1
+                or len(data)
+            )
+        values = _p2_block_samples(data, start, stop, count - done)
+        if values is None:
+            return _walk_p2_raster(data, pos, count, maxval)
+        over = np.flatnonzero(values > maxval)
+        if over.size:
+            raise PgmFormatError(f"sample {int(values[over[0]])} exceeds maxval {maxval}")
+        pixels[done : done + values.size] = values
+        done += values.size
+        start = stop
+    return pixels
+
+
+def _walk_p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
+    """Token-by-token decode that raises for the first bad sample in stream order."""
+    samples = np.empty(count, dtype=np.uint8)
+    for i in range(count):
+        try:
+            value, pos = _header_int(data, pos, "sample")
+        except _EndOfHeader:
+            raise PgmLengthError(f"raster holds {i} samples, expected {count}") from None
+        if value > maxval:
+            raise PgmFormatError(f"sample {value} exceeds maxval {maxval}")
+        samples[i] = value
+    return samples
+
+
 def read_pgm(data: bytes) -> GrayImage:
     """Decode a PGM byte stream (binary P5 or ASCII P2, maxval 255).
 
@@ -209,16 +297,7 @@ def read_pgm(data: bytes) -> GrayImage:
             raise PgmLengthError(
                 f"raster of {available} bytes cannot hold {count} samples"
             )
-        samples = np.empty(count, dtype=np.uint8)
-        for i in range(count):
-            try:
-                value, pos = _header_int(data, pos, "sample")
-            except _EndOfHeader:
-                raise PgmLengthError(f"raster holds {i} samples, expected {count}") from None
-            if value > maxval:
-                raise PgmFormatError(f"sample {value} exceeds maxval {maxval}")
-            samples[i] = value
-        pixels = samples
+        pixels = _decode_p2_raster(data, pos, count, maxval)
 
     return GrayImage(width=width, height=height, pixels=pixels)
 

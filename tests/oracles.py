@@ -7,6 +7,7 @@ happens on an exactly-computed rational, so the values are deterministic.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 
@@ -168,3 +169,46 @@ def brute_force_otsu(bins, k):
             best_key = (num, den)
             best = ts
     return best
+
+
+_PGM_SPACE = b" \t\n\r\x0b\x0c"
+
+
+def reference_p2_raster(raster, count, maxval):
+    """Decode ``count`` ASCII samples one token at a time, in stream order.
+
+    ``raster`` is everything after the maxval token. Raises the library's
+    ``PgmLengthError``/``PgmFormatError`` (only the exception classes are
+    shared) with its messages, for the first offending sample. Bytes after
+    the ``count``-th sample are never looked at.
+    """
+    from mvthresh.image import PgmFormatError, PgmLengthError
+
+    if len(raster) < 2 * count - 1:
+        raise PgmLengthError(f"raster of {len(raster)} bytes cannot hold {count} samples")
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    samples = []
+    i = 0
+    while len(samples) < count:
+        while i < len(raster) and (raster[i] in _PGM_SPACE or raster[i] == ord("#")):
+            if raster[i] == ord("#"):  # a comment runs through the next newline
+                while i < len(raster) and raster[i] != ord("\n"):
+                    i += 1
+            i += 1
+        if i >= len(raster):
+            raise PgmLengthError(f"raster holds {len(samples)} samples, expected {count}")
+        start = i
+        while i < len(raster) and raster[i] not in _PGM_SPACE and raster[i] != ord("#"):
+            i += 1
+        field = raster[start:i]
+        if not all(ord("0") <= b <= ord("9") for b in field):
+            raise PgmFormatError(f"bad sample field: {field!r}")
+        if 0 < max_digits < len(field):
+            raise PgmFormatError(f"sample field has {len(field)} digits")
+        value = 0
+        for b in field:
+            value = 10 * value + b - ord("0")
+        if value > maxval:
+            raise PgmFormatError(f"sample {value} exceeds maxval {maxval}")
+        samples.append(value)
+    return samples

@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import mvthresh
 import mvthresh.cli as cli_module
 import mvthresh.quality as quality_module
 from mvthresh.cli import RunReport, main
@@ -387,3 +392,30 @@ def test_segment_on_arbitrary_bytes_exits_0_1_or_2(tmp_path, data):
         ["segment", "--input", str(path), "--levels", "3", "--output", str(tmp_path / "x.pgm")]
     )
     assert code in (EXIT_OK, EXIT_IO, EXIT_USAGE)
+
+
+def _run_module(*args):
+    """``python -m mvthresh.cli`` in a child process, with this checkout importable."""
+    src = str(Path(mvthresh.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "mvthresh.cli", *args],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_module_entry_point_prints_usage():
+    proc = _run_module("--help")
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.startswith("usage:")
+
+
+def test_module_entry_point_reports_missing_input(tmp_path):
+    proc = _run_module(
+        "segment", "--input", str(tmp_path / "nope.pgm"), "--levels", "3",
+        "--output", str(tmp_path / "x.pgm"),
+    )
+    assert proc.returncode == EXIT_IO
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "x.pgm").exists()

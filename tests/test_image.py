@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mvthresh.image as image_module
 from mvthresh.image import (
     GrayImage,
     Histogram,
@@ -16,7 +20,46 @@ from mvthresh.image import (
 )
 
 from conftest import gray_images, histograms, pgm_bytes
-from oracles import moments, pixel_tally
+from oracles import moments, pixel_tally, reference_p2_raster
+
+_P2_SEPARATORS = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n", b"#c\n", b"#"]
+_P2_ODD_FIELDS = [b"0", b"255", b"256", b"300", b"007", b"0000000012", b"x", b"1a", b"-1", b"\xff"]
+
+
+@st.composite
+def p2_files(draw):
+    """(header, raster, sample count) of a small P2 file whose bytes are ``header + raster``.
+
+    The raster is fields between runs of separators. Half the files use
+    only valid fields and non-empty gaps; the rest mix in odd fields and
+    empty gaps, which glue neighbouring fields into one. Up to three
+    fields more than the image holds give trailing junk, fewer give short
+    streams.
+    """
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    count = width * height
+    sample = st.integers(0, 255).map(b"%d".__mod__)
+    if draw(st.booleans()):
+        field = st.one_of(sample, st.sampled_from([b"007", b"0000000012"]))
+        min_gap = 1
+    else:
+        field = st.one_of(sample, st.sampled_from(_P2_ODD_FIELDS))
+        min_gap = 0
+    gap = st.lists(st.sampled_from(_P2_SEPARATORS), min_size=min_gap, max_size=2).map(b"".join)
+    pieces = draw(st.lists(st.tuples(field, gap), max_size=count + 3))
+    # the separator after maxval ends the header's last token
+    raster = draw(st.sampled_from(_P2_SEPARATORS)) + b"".join(f + g for f, g in pieces)
+    return b"P2 %d %d 255" % (width, height), raster, count
+
+
+def p2_noisy_file(side, rng):
+    """A ``side``-squared P2 file with comments, mixed separators and CR-LF wrapping."""
+    pixels = rng.integers(0, 256, size=side * side, dtype=np.uint8)
+    header = f"P2\n# plain PGM\r\n{side}\t {side}\n# maxval next\n255\n"
+    choices = np.array([" ", "  ", "\t", " \t", "\n", "\r\n", "# row # 2\n"])
+    seps = choices[rng.integers(0, choices.size, size=pixels.size)]
+    body = "".join(f"{v}{s}" for v, s in zip(pixels.tolist(), seps.tolist()))
+    return (header + body).encode("ascii"), pixels
 
 
 class TestReadPgm:
@@ -89,6 +132,70 @@ class TestReadPgm:
     def test_trailing_bytes_tolerated(self):
         img = read_pgm(b"P5 1 1 255\n" + bytes([42]) + b"\n")
         assert list(img.pixels) == [42]
+
+
+class TestAsciiRaster:
+    @settings(max_examples=500)
+    @given(p2_files())
+    @example((b"P2 2 1 255", b"\n0012 #c\n7", 2))
+    @example((b"P2 2 1 255", b"#c\n1#c\n2 x", 2))
+    @example((b"P2 2 2 255", b"\n1 2 x 300", 4))
+    @example((b"P2 2 2 255", b"\n1\t#c\n\n\n\n\n2", 4))
+    @pytest.mark.parametrize("block", [image_module._P2_BLOCK, 3])
+    def test_matches_reference_decoder(self, block, case):
+        # a 3-byte block size splits the raster at nearly every newline
+        header, raster, count = case
+        with mock.patch.object(image_module, "_P2_BLOCK", block):
+            try:
+                want = reference_p2_raster(raster, count, 255)
+            except PgmError as exc:
+                with pytest.raises(PgmError) as info:
+                    read_pgm(header + raster)
+                assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+            else:
+                assert list(read_pgm(header + raster).pixels) == want
+
+    def test_long_sample_field_matches_reference(self):
+        # "sample field has 5000 digits" on Python >= 3.11, an over-maxval
+        # sample before that
+        raster = b"\n" + b"9" * 5000
+        with pytest.raises(PgmFormatError) as want:
+            reference_p2_raster(raster, 1, 255)
+        with pytest.raises(PgmFormatError) as got:
+            read_pgm(b"P2 1 1 255" + raster)
+        assert str(got.value) == str(want.value)
+
+    def test_one_digit_last_block(self):
+        # one byte longer than a block, so the last block holds only the "5"
+        k = image_module._P2_BLOCK // 2 - 1
+        raster = b"\n\n" + b"1\n" * k + b"5"
+        assert len(raster) == image_module._P2_BLOCK + 1
+        img = read_pgm(b"P2 %d 1 255" % (k + 1) + raster)
+        assert list(img.pixels) == [1] * k + [5]
+
+    def test_no_per_sample_python_calls(self, monkeypatch):
+        """Only width, height and maxval go through the token reader."""
+        data, pixels = p2_noisy_file(256, np.random.default_rng(5))
+        calls = []
+        real = image_module._header_int
+        monkeypatch.setattr(
+            image_module, "_header_int", lambda *args: calls.append(args[2]) or real(*args)
+        )
+        img = read_pgm(data)
+        assert calls == ["width", "height", "maxval"]
+        assert np.array_equal(img.pixels, pixels)
+
+    def test_temporaries_do_not_grow_with_the_file(self):
+        """The raster is decoded in blocks, so a 1.4 MB file needs under 2 MiB of working memory."""
+        data, pixels = p2_noisy_file(512, np.random.default_rng(6))
+        tracemalloc.start()
+        try:
+            read_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # besides the decoded raster and the image's private copy of it
+        assert peak - 2 * pixels.size < 2 << 20
 
 
 class TestWritePgm:
