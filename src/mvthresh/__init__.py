@@ -17,7 +17,7 @@ from .otsu import (
     otsu_bilevel,
     otsu_multilevel_exhaustive,
 )
-from .quality import QualityReport, median_elapsed_ms, mse, psnr, timed
+from .quality import QualityReport, mse, psnr
 from .segmentation import (
     Replacement,
     SegmentationParams,
@@ -50,7 +50,6 @@ __all__ = [
     "auto_select_n",
     "between_class_variance",
     "compute_histogram",
-    "median_elapsed_ms",
     "midpoint",
     "mse",
     "otsu_bilevel",
@@ -60,7 +59,6 @@ __all__ = [
     "read_pgm",
     "segment",
     "segment_image",
-    "timed",
     "weighted_mean",
     "write_pgm",
 ]

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import enum
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .image import LEVELS, MAX_INTENSITY, GrayImage, Histogram, compute_histogram
-from .quality import histogram_mse, psnr_from_mse, timed
+from .quality import histogram_mse, psnr_from_mse
 from .stats import (
     RangeStats,
     SubRange,
@@ -139,8 +140,9 @@ def step_thresholds(
     """
     if stats.empty:
         return None
-    t1 = min(max(round_half_up(stats.mean - kappa1 * stats.std), r.lo), r.hi)
-    t2 = min(max(round_half_up(stats.mean + kappa2 * stats.std), r.lo), r.hi)
+    # clamp before rounding: a huge kappa makes the float cut infinite
+    t1 = round_half_up(min(max(stats.mean - kappa1 * stats.std, r.lo), r.hi))
+    t2 = round_half_up(min(max(stats.mean + kappa2 * stats.std, r.lo), r.hi))
     if t2 - t1 < 2:
         return None
     return t1, t2
@@ -155,25 +157,44 @@ def _class_value(hist: Histogram, interval: SubRange, mode: Replacement) -> int:
     return midpoint(interval) if value is None else value
 
 
-def _final_split(
-    hist: Histogram, r: SubRange, mode: Replacement
-) -> tuple[int, list[tuple[SubRange, int]]]:
-    """Split the residual range at its rounded mean (the middle threshold)."""
-    split = weighted_mean(hist, r)
-    if split is None:
-        split = midpoint(r)
+def _passes(hist: Histogram, params: SegmentationParams):
+    """Yield (residual range, frozen lower classes, frozen upper classes).
+
+    One state comes before the first pass and one after each pass, until
+    the first degenerate pass. Pass k never depends on how many follow.
+    """
+    r = SubRange(0, MAX_INTENSITY)
+    lower: tuple[tuple[SubRange, int], ...] = ()
+    upper: tuple[tuple[SubRange, int], ...] = ()
+    yield r, lower, upper
+    for index in range(params.passes):
+        cut = step_thresholds(range_stats(hist, r), r, *params.kappa_for(index))
+        if cut is None:
+            return
+        t1, t2 = cut
+        low_iv = SubRange(r.lo, t1)
+        high_iv = SubRange(t2, r.hi)
+        lower += ((low_iv, _class_value(hist, low_iv, params.replacement)),)
+        upper = ((high_iv, _class_value(hist, high_iv, params.replacement)),) + upper
+        r = SubRange(t1 + 1, t2 - 1)
+        yield r, lower, upper
+
+
+def _result(hist: Histogram, r: SubRange, lower, upper, mode: Replacement) -> SegmentationResult:
+    """Split the residual at its rounded mean; join the frozen classes around it."""
+    split = _class_value(hist, r, Replacement.WEIGHTED_MEAN)
     counts = hist.moments[0]
     upper_empty = split >= r.hi or counts[r.hi + 1] == counts[split + 1]
     if upper_empty:
         # nothing above the mean: keep the residual range as one class so
         # every level it covers maps to the same value the pixels map to
-        return split, [(r, _class_value(hist, r, mode))]
-    low = SubRange(r.lo, split)
-    high = SubRange(split + 1, r.hi)
-    return split, [
-        (low, _class_value(hist, low, mode)),
-        (high, _class_value(hist, high, mode)),
-    ]
+        middle = ((r, _class_value(hist, r, mode)),)
+    else:
+        low = SubRange(r.lo, split)
+        high = SubRange(split + 1, r.hi)
+        middle = ((low, _class_value(hist, low, mode)), (high, _class_value(hist, high, mode)))
+    thresholds = tuple(iv.hi for iv, _ in lower) + (split,) + tuple(iv.lo for iv, _ in upper)
+    return SegmentationResult(thresholds=thresholds, classes=lower + middle + upper)
 
 
 def segment(hist: Histogram, params: SegmentationParams) -> SegmentationResult:
@@ -185,28 +206,8 @@ def segment(hist: Histogram, params: SegmentationParams) -> SegmentationResult:
     """
     if hist.total == 0:
         raise ValueError("cannot segment an empty image")
-    lower: list[tuple[SubRange, int]] = []
-    upper: list[tuple[SubRange, int]] = []
-    cuts_low: list[int] = []
-    cuts_high: list[int] = []
-    r = SubRange(0, MAX_INTENSITY)
-    for index in range(params.passes):
-        kappa1, kappa2 = params.kappa_for(index)
-        cut = step_thresholds(range_stats(hist, r), r, kappa1, kappa2)
-        if cut is None:
-            break
-        t1, t2 = cut
-        low_iv = SubRange(r.lo, t1)
-        high_iv = SubRange(t2, r.hi)
-        lower.append((low_iv, _class_value(hist, low_iv, params.replacement)))
-        upper.append((high_iv, _class_value(hist, high_iv, params.replacement)))
-        cuts_low.append(t1)
-        cuts_high.append(t2)
-        r = SubRange(t1 + 1, t2 - 1)
-    middle, middle_classes = _final_split(hist, r, params.replacement)
-    thresholds = tuple(cuts_low) + (middle,) + tuple(reversed(cuts_high))
-    classes = tuple(lower) + tuple(middle_classes) + tuple(reversed(upper))
-    return SegmentationResult(thresholds=thresholds, classes=classes)
+    *_, state = _passes(hist, params)
+    return _result(hist, *state, params.replacement)
 
 
 def apply_mapping(image: GrayImage, result: SegmentationResult) -> GrayImage:
@@ -235,19 +236,15 @@ def segment_image(
     return result, quantized
 
 
-def _sweep_psnr(hist: Histogram, params: SegmentationParams) -> float:
-    return psnr_from_mse(histogram_mse(hist, segment(hist, params).lut))
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """One evaluated threshold count in a PSNR sweep.
 
     ``psnr_db`` equals ``psnr(image, quantized)`` for the quantized raster
     of this n, though the sweep never builds that raster. ``elapsed_ms``
-    times this n's histogram-domain work only: the recursive cuts and the
-    MSE/PSNR from the histogram. The one histogram pass the whole sweep
-    shares is not in any point.
+    times what this n adds: one pass (none after an early stop), the middle
+    split and the MSE/PSNR from the histogram. The earlier passes and the
+    one histogram pass the whole sweep shares are not in it.
     """
 
     n: int
@@ -268,23 +265,27 @@ def auto_select_n(
     An infinite PSNR (exact reconstruction) saturates immediately; without
     saturation the sweep runs through ``n_max`` and returns it.
 
-    The pixels are read once, for the histogram. Each n is then evaluated
-    from the histogram alone: its cuts, and its PSNR from the exact
-    histogram-domain MSE, so no quantized raster is ever built.
+    The pixels are read once, for the histogram, and each pass runs once:
+    n adds one pass to those of n-2 (after an early stop, none: the same
+    PSNR again ends the sweep), its middle split and its exact PSNR from
+    the histogram-domain MSE, so no quantized raster is ever built.
     """
     if not math.isfinite(epsilon) or epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if n_max % 2 == 0 or n_max < 3:
         raise ValueError(f"n_max must be an odd integer >= 3, got {n_max}")
     hist = compute_histogram(image)
+    passes = _passes(hist, replace(base, n=n_max))
+    state = next(passes)
     sweep: list[SweepPoint] = []
-    previous: tuple[int, float] | None = None
     for n in range(3, n_max + 1, 2):
-        value, elapsed = timed(_sweep_psnr, hist, replace(base, n=n))
+        start = time.perf_counter()
+        state = next(passes, state)
+        value = psnr_from_mse(histogram_mse(hist, _result(hist, *state, base.replacement).lut))
+        elapsed = (time.perf_counter() - start) * 1000.0
         sweep.append(SweepPoint(n=n, psnr_db=value, elapsed_ms=elapsed))
         if math.isinf(value):
             return n, sweep
-        if previous is not None and value - previous[1] < epsilon:
-            return previous[0], sweep
-        previous = (n, value)
+        if len(sweep) > 1 and value - sweep[-2].psnr_db < epsilon:
+            return sweep[-2].n, sweep
     return n_max, sweep

@@ -168,6 +168,25 @@ class TestSegmentCommand:
         )
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "flag, large, huge",
+        [("--kappa", "1e300", "1e307"), ("--kappa-schedule", "1:1e300", "1:1e308")],
+    )
+    def test_huge_kappa_clamps_like_a_large_one(
+        self, tmp_path, blob_pgm, capsys, flag, large, huge
+    ):
+        """A cut past the range's end, even an infinite one, clamps to that end."""
+        printed = []
+        for kappa in (large, huge):
+            code = main(
+                ["segment", "--input", str(blob_pgm), "--levels", "5", flag, kappa,
+                 "--output", str(tmp_path / "x.pgm")]
+            )
+            assert code == EXIT_OK
+            printed.append(capsys.readouterr().out.splitlines()[0])
+        assert printed[0].startswith("thresholds:")
+        assert printed[1] == printed[0]
+
     def test_midpoint_replacement_never_beats_weighted_mean(self, tmp_path, blob_pgm):
         values = {}
         for mode in ("weighted-mean", "midpoint"):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import mvthresh.quality as quality_module
 import mvthresh.segmentation as seg_module
 from mvthresh.image import GrayImage, Histogram, compute_histogram
-from mvthresh.quality import mse, psnr
+from mvthresh.quality import histogram_mse, mse, psnr, psnr_from_mse
 from mvthresh.segmentation import (
     Replacement,
     SegmentationParams,
@@ -27,6 +28,8 @@ from helpers import assert_valid_partition
 from oracles import reference_segment
 
 FULL = SubRange(0, 255)
+
+kappas = st.one_of(st.floats(min_value=0.05, max_value=5.0), st.just(1e308))
 
 
 def spikes(*pairs):
@@ -102,6 +105,11 @@ class TestStepThresholds:
         hist = Histogram(np.ones(256, dtype=np.int64))
         stats = range_stats(hist, FULL)
         assert step_thresholds(stats, FULL, 0.5, 1.5) == (91, 238)
+
+    def test_huge_kappa_clamps_to_range_ends(self):
+        hist = Histogram(np.ones(256, dtype=np.int64))
+        stats = range_stats(hist, FULL)
+        assert step_thresholds(stats, FULL, 1e308, 1e308) == (0, 255)
 
 
 class TestSegment:
@@ -294,6 +302,46 @@ class TestAutoSelect:
         )
         assert len(sweep) > 1
         assert calls == {"compute_histogram": 1, "apply_mapping": 0, "mse": 0}
+
+    def test_each_pass_runs_once_per_sweep(self, natural_images, monkeypatch):
+        """Pass k is shared by every n that needs it, not redone for each."""
+        calls = []
+        real = seg_module.range_stats
+        monkeypatch.setattr(
+            seg_module, "range_stats", lambda h, r: calls.append(r) or real(h, r)
+        )
+        _, sweep = auto_select_n(
+            natural_images["soft_blobs"], SegmentationParams(n=3), 1e-12, 15
+        )
+        assert len(sweep) > 1
+        assert len(calls) <= (15 - 1) // 2
+
+    @given(
+        gray_images(),
+        st.lists(st.tuples(kappas, kappas), min_size=1, max_size=4),
+        st.sampled_from(list(Replacement)),
+        st.sampled_from([1e-6, 0.3, 2.0]),
+        st.sampled_from([3, 5, 9, 15]),
+    )
+    def test_sweep_rows_match_segment(self, img, schedule, mode, epsilon, n_max):
+        base = SegmentationParams(n=3, kappa_schedule=tuple(schedule), replacement=mode)
+        chosen, sweep = auto_select_n(img, base, epsilon, n_max)
+        hist = compute_histogram(img)
+        assert [p.n for p in sweep] == list(range(3, 2 * len(sweep) + 2, 2))
+        for point in sweep:
+            result = segment(hist, replace(base, n=point.n))
+            assert point.psnr_db == psnr_from_mse(histogram_mse(hist, result.lut))
+        # the sweep ends at the first saturation, and only there
+        values = [p.psnr_db for p in sweep]
+        gains = [b - a for a, b in zip(values, values[1:])]
+        assert not any(math.isinf(v) for v in values[:-1])
+        assert all(gain >= epsilon for gain in gains[:-1])
+        if math.isinf(values[-1]):
+            assert chosen == sweep[-1].n
+        elif gains and gains[-1] < epsilon:
+            assert chosen == sweep[-2].n
+        else:
+            assert chosen == sweep[-1].n == n_max
 
     def test_bad_epsilon_rejected(self):
         img = GrayImage(2, 2, [0, 1, 2, 3])
