@@ -1,9 +1,13 @@
 """Otsu-style thresholding by exhaustive between-class-variance maximization.
 
-The multilevel form enumerates every ascending threshold tuple — deliberately
-the brute-force worst case, serving as the cost baseline for the recursive
-segmenter. A vectorized float scan prefilters candidates; near-ties are then
-re-scored in exact integer arithmetic so the lexicographic tie-break is
+The multilevel form scores every ascending threshold tuple, O(L^3) for three
+thresholds over L = 256 levels: deliberately the brute-force worst case,
+serving as the cost baseline for the recursive segmenter. Following Liao,
+Chen & Chung ("A Fast Algorithm for Multilevel Thresholding", 2001), one
+256x256 table holds the score of every class [u, v], so each tuple's score is
+a sum of table entries and the scan runs as one 2-D array operation per first
+threshold: O(L) Python iterations. The float scan only prefilters; near-ties
+are re-scored in exact integer arithmetic so the lexicographic tie-break is
 deterministic regardless of rounding.
 """
 
@@ -18,8 +22,13 @@ from .image import MAX_INTENSITY, Histogram
 
 # maximizing sum(w_c * mu_c^2) is equivalent to maximizing the between-class
 # variance (they differ by the constant mu_total^2); the scan works with
-# J = sum(s_c^2 / n_c), the same quantity scaled by the pixel count
-_REL_BAND = 1e-9  # float slack; anything this close to the max is re-scored exactly
+# J = sum(s_c^2 / n_c), the same quantity scaled by the pixel count.
+# Float slack: anything this close to the max is re-scored exactly. s_c and
+# n_c are exact integers in float64, each table entry rounds twice (square,
+# divide) and a score takes three adds of non-negative entries, so it is
+# within about 5 * 2^-53 * J (J <= N * 255^2), roughly 1e-15 relative, of
+# the exact value: far inside the band, in any order of adds.
+_REL_BAND = 1e-9
 
 _CUT_MAX = MAX_INTENSITY - 1  # a threshold at 255 would leave an empty top class
 
@@ -47,12 +56,6 @@ class OtsuResult:
             raise ValueError("between-class variance cannot be negative")
 
 
-def _prefix_sums(hist: Histogram) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative count and intensity-weighted sums, length 257."""
-    counts, weighted, _ = hist.moments
-    return np.array(counts, dtype=np.int64), np.array(weighted, dtype=np.int64)
-
-
 def between_class_variance(hist: Histogram, thresholds) -> float:
     """sum over classes of w_c * (mu_c - mu_total)^2; empty classes add 0.
 
@@ -73,48 +76,40 @@ def between_class_variance(hist: Histogram, thresholds) -> float:
     return acc
 
 
-def _scan_blocks(counts, weighted, k):
-    """Yield (head, ends, j, run_count) blocks covering every ascending k-tuple.
+def _class_table(counts, weighted) -> np.ndarray:
+    """``H[u, v] = S(u..v)^2 / max(C(u..v), 1)``: class [u, v]'s term of J.
 
-    ``head`` fixes the first k-1 thresholds; ``j`` scores head + ends[i] for
-    the vector of last-threshold positions. ``run_count`` is the running pixel
-    count of the class ending at each position: within a block, candidates
-    with equal run_count have identical class contents, so they tie exactly.
-    Heads and ends are emitted in lexicographic order.
+    Entries with v < u mean nothing; the scan masks or skips them.
     """
-    cf = counts.astype(np.float64)
-    wf = weighted.astype(np.float64)
-    ends_all = np.arange(0, _CUT_MAX + 1)
+    c = np.asarray(counts, dtype=np.float64)
+    s = np.asarray(weighted, dtype=np.float64)
+    table = s[None, 1:] - s[:-1, None]
+    table *= table
+    count = c[None, 1:] - c[:-1, None]
+    table /= np.maximum(count, 1.0, out=count)
+    return table
 
-    def q_vec(u, ends):
-        s = wf[ends + 1] - wf[u]
-        c = cf[ends + 1] - cf[u]
-        return s * s / np.maximum(c, 1.0), c
 
-    def q_scalar(u, v):
-        s = wf[v + 1] - wf[u]
-        c = cf[v + 1] - cf[u]
-        return s * s / c if c else 0.0
+def _scored_blocks(table: np.ndarray, k: int):
+    """Yield (origin, j) blocks scoring every ascending k-tuple exactly once.
 
-    tail_s = wf[-1] - wf[ends_all + 1]
-    tail_c = cf[-1] - cf[ends_all + 1]
-    tail = tail_s * tail_s / np.maximum(tail_c, 1.0)
-
+    ``j[i]`` scores the thresholds ``origin + i``; entries that are not
+    ascending hold -inf. Blocks come in lexicographic order of their
+    tuples, and so do the entries of a block in C order.
+    """
+    last = table[1:, MAX_INTENSITY]  # last[t]: the top class above a cut at t
     if k == 1:
-        q, c = q_vec(0, ends_all)
-        yield (), ends_all, q + tail, c
-    elif k == 2:
-        for t1 in range(0, _CUT_MAX):
-            ends = ends_all[t1 + 1 :]
-            q, c = q_vec(t1 + 1, ends)
-            yield (t1,), ends, q_scalar(0, t1) + q + tail[t1 + 1 :], c
-    else:
-        for t1 in range(0, _CUT_MAX - 1):
-            q1 = q_scalar(0, t1)
-            for t2 in range(t1 + 1, _CUT_MAX):
-                ends = ends_all[t2 + 1 :]
-                q, c = q_vec(t2 + 1, ends)
-                yield (t1, t2), ends, q1 + q_scalar(t1 + 1, t2) + q + tail[t2 + 1 :], c
+        yield (0,), table[0, : _CUT_MAX + 1] + last
+        return
+    # tail[t, u]: the two top classes above cuts t < u
+    tail = table[1:, : _CUT_MAX + 1] + last
+    tail[np.tri(_CUT_MAX + 1, dtype=bool)] = -np.inf
+    if k == 2:
+        yield (0, 0), table[0, : _CUT_MAX + 1, None] + tail
+        return
+    for t1 in range(_CUT_MAX - 1):
+        head = table[0, t1] + table[t1 + 1, t1 + 1 : _CUT_MAX]
+        yield (t1, t1 + 1, t1 + 2), (head[:, None] + tail[t1 + 1 : _CUT_MAX, t1 + 2 :])[None]
 
 
 def _class_signature(counts, weighted, ts) -> tuple[int, ...]:
@@ -145,43 +140,40 @@ def otsu_multilevel_exhaustive(hist: Histogram, k: int) -> OtsuResult:
         raise ValueError(f"threshold count must be in [1, 3], got {k}")
     if hist.total == 0:
         raise ValueError("cannot threshold an empty histogram")
-    counts, weighted = _prefix_sums(hist)
+    counts, weighted, _ = hist.moments
+    occupied = hist.bins > 0
 
-    best_float = -np.inf
-    for _, _, j, _ in _scan_blocks(counts, weighted, k):
-        block_max = j.max()
-        if block_max > best_float:
-            best_float = block_max
-    cutoff = best_float - max(abs(best_float), 1.0) * _REL_BAND
-
-    # Near-ties are re-scored exactly. Candidates arrive in lexicographic
-    # order; run_count is monotone within a block, so plateau runs collapse
-    # to their first candidate, and the seen-set drops repeated signatures
-    # across blocks. Equal signatures tie exactly, so only each signature's
-    # lexicographically first candidate matters.
-    best_j: Fraction | None = None
-    best_tuple: tuple[int, ...] | None = None
-    seen: set[tuple[int, ...]] = set()
-    for head, ends, j, run_count in _scan_blocks(counts, weighted, k):
-        idx = np.nonzero(j >= cutoff)[0]
-        if idx.size == 0:
+    # One pass keeps the running maximum and the entries within the band of
+    # it. A cut at an empty bin, not right after the previous cut, can move
+    # down one level without changing any class: the tuple ties exactly with
+    # a lexicographically smaller one. Dropping those keeps the first tuple
+    # of each set of equal classes, so a plateau of millions of tied tuples
+    # leaves a few rows. The first cut of a k=3 block is origin[0] throughout
+    # (and starts at 0 for k < 3), so the test on it can skip a whole block.
+    best = -np.inf
+    near = []
+    for origin, j in _scored_blocks(_class_table(counts, weighted), k):
+        top = j.max()
+        best = max(best, top)
+        cutoff = best - max(abs(best), 1.0) * _REL_BAND
+        if top < cutoff or not (origin[0] == 0 or occupied[origin[0]]):
             continue
-        keep = np.empty(idx.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = run_count[idx[1:]] != run_count[idx[:-1]]
-        for end in ends[idx[keep]]:
-            candidate = head + (int(end),)
-            signature = _class_signature(counts, weighted, candidate)
-            if signature in seen:
-                continue
-            seen.add(signature)
-            exact = _exact_j(signature)
-            if best_j is None or exact > best_j:
-                best_j = exact
-                best_tuple = candidate
+        hit = np.flatnonzero(j >= cutoff)
+        cuts = [axis + at for axis, at in zip(np.unravel_index(hit, j.shape), origin)]
+        first = np.ones(hit.size, dtype=bool)
+        for before, cut in zip([-1] + cuts, cuts):
+            first &= (cut == before + 1) | occupied[cut]
+        near.append((j.ravel()[hit[first]], np.column_stack([cut[first] for cut in cuts])))
+    scores = np.concatenate([s for s, _ in near])
+    tuples = np.concatenate([ts for _, ts in near])[scores >= cutoff]
 
+    # max() returns the first of equal maxima: the lexicographic tie-break
+    def exact(ts):
+        return _exact_j(_class_signature(counts, weighted, ts))
+
+    best_tuple = max(map(tuple, tuples.tolist()), key=exact)
     n = hist.total
-    criterion = best_j / n - Fraction(int(weighted[-1]), n) ** 2
+    criterion = exact(best_tuple) / n - Fraction(weighted[-1], n) ** 2
     return OtsuResult(thresholds=best_tuple, criterion=float(criterion))
 
 

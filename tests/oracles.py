@@ -4,11 +4,16 @@ Everything here is written with plain Python loops, Fractions, and exact
 integer arithmetic — no shared code with the library under test. Where a
 reference quantity is irrational (standard deviations), the float conversion
 happens on an exactly-computed rational, so the values are deterministic.
+The one numpy-based reference, ``scan_blocks_otsu``, is a frozen copy of an
+earlier exhaustive Otsu search, kept because plain loops cannot score all
+2.7 million three-threshold tuples in test time.
 """
 
 import math
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 
 def pixel_tally(pixels):
@@ -169,6 +174,100 @@ def brute_force_otsu(bins, k):
             best_key = (num, den)
             best = ts
     return best
+
+
+def scan_blocks_otsu(bins, k):
+    """(thresholds, exact criterion) of exhaustive Otsu, k in [1, 3].
+
+    A frozen copy of the library's earlier search: a float scan over blocks
+    of one head (all thresholds but the last) and a vector of last
+    thresholds finds the maximum, a second scan re-scores every candidate
+    within a relative 1e-9 of it with Fractions, and the lexicographically
+    smallest exact maximizer wins.
+    """
+    counts = np.zeros(257, dtype=np.int64)
+    weighted = np.zeros(257, dtype=np.int64)
+    np.cumsum(np.asarray(bins, dtype=np.int64), out=counts[1:])
+    np.cumsum(np.asarray(bins, dtype=np.int64) * np.arange(256), out=weighted[1:])
+    cf = counts.astype(np.float64)
+    wf = weighted.astype(np.float64)
+    ends_all = np.arange(0, 255)
+
+    def q_vec(u, ends):
+        s = wf[ends + 1] - wf[u]
+        c = cf[ends + 1] - cf[u]
+        return s * s / np.maximum(c, 1.0), c
+
+    def q_scalar(u, v):
+        s = wf[v + 1] - wf[u]
+        c = cf[v + 1] - cf[u]
+        return s * s / c if c else 0.0
+
+    tail_s = wf[-1] - wf[ends_all + 1]
+    tail_c = cf[-1] - cf[ends_all + 1]
+    tail = tail_s * tail_s / np.maximum(tail_c, 1.0)
+
+    def blocks():
+        if k == 1:
+            q, c = q_vec(0, ends_all)
+            yield (), ends_all, q + tail, c
+        elif k == 2:
+            for t1 in range(0, 254):
+                ends = ends_all[t1 + 1 :]
+                q, c = q_vec(t1 + 1, ends)
+                yield (t1,), ends, q_scalar(0, t1) + q + tail[t1 + 1 :], c
+        else:
+            for t1 in range(0, 253):
+                q1 = q_scalar(0, t1)
+                for t2 in range(t1 + 1, 254):
+                    ends = ends_all[t2 + 1 :]
+                    q, c = q_vec(t2 + 1, ends)
+                    yield (t1, t2), ends, q1 + q_scalar(t1 + 1, t2) + q + tail[t2 + 1 :], c
+
+    def signature(ts):
+        bounds = (-1,) + ts + (255,)
+        sig = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            sig.append(int(counts[hi + 1] - counts[lo + 1]))
+            sig.append(int(weighted[hi + 1] - weighted[lo + 1]))
+        return tuple(sig)
+
+    def exact_j(sig):
+        j = Fraction(0)
+        for c, s in zip(sig[::2], sig[1::2]):
+            if c:
+                j += Fraction(s * s, c)
+        return j
+
+    best_float = -np.inf
+    for _, _, j, _ in blocks():
+        block_max = j.max()
+        if block_max > best_float:
+            best_float = block_max
+    cutoff = best_float - max(abs(best_float), 1.0) * 1e-9
+
+    best_j = best_tuple = None
+    seen = set()
+    for head, ends, j, run_count in blocks():
+        idx = np.nonzero(j >= cutoff)[0]
+        if idx.size == 0:
+            continue
+        keep = np.empty(idx.size, dtype=bool)
+        keep[0] = True
+        keep[1:] = run_count[idx[1:]] != run_count[idx[:-1]]
+        for end in ends[idx[keep]]:
+            candidate = head + (int(end),)
+            sig = signature(candidate)
+            if sig in seen:
+                continue
+            seen.add(sig)
+            exact = exact_j(sig)
+            if best_j is None or exact > best_j:
+                best_j = exact
+                best_tuple = candidate
+
+    n = int(counts[-1])
+    return best_tuple, best_j / n - Fraction(int(weighted[-1]), n) ** 2
 
 
 _PGM_SPACE = b" \t\n\r\x0b\x0c"

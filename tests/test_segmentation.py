@@ -1,6 +1,8 @@
 import math
 import random
 from dataclasses import replace
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -315,6 +317,33 @@ class TestAutoSelect:
         )
         assert len(sweep) > 1
         assert len(calls) <= (15 - 1) // 2
+
+    def test_moment_table_is_built_before_any_row_is_timed(
+        self, natural_images, monkeypatch
+    ):
+        """Work the whole sweep shares is counted in no row's elapsed_ms."""
+        events = []
+
+        class SpyHistogram(Histogram):
+            @cached_property
+            def moments(self):
+                events.append("moments")
+                return Histogram.moments.func(self)
+
+        def clock():
+            events.append("clock")
+            return 0.0
+
+        monkeypatch.setattr(
+            seg_module, "compute_histogram", lambda img: SpyHistogram(compute_histogram(img).bins)
+        )
+        monkeypatch.setattr(seg_module, "time", SimpleNamespace(perf_counter=clock))
+        _, sweep = auto_select_n(
+            natural_images["soft_blobs"], SegmentationParams(n=3), 1e-12, 15
+        )
+        assert len(sweep) > 1
+        assert events.count("moments") == 1
+        assert events.index("moments") < events.index("clock")
 
     @given(
         gray_images(),
