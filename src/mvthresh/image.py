@@ -3,6 +3,13 @@
 Images are immutable value objects backed by read-only numpy arrays. All
 statistics downstream are computed from the 256-bin histogram, never by
 rescanning pixels.
+
+The two passes over the pixels, the histogram and the lookup-table mapping,
+read a raster of at least ``_PAIR_CUTOFF`` pixels as native uint16 byte
+pairs through 65536-entry tables, in blocks, which halves their per-pixel
+work and bounds their temporaries; smaller rasters go one byte at a time.
+The binary P5 codec copies the raster once each way: into the image's
+private array on decode, into the output bytes on encode.
 """
 
 from __future__ import annotations
@@ -129,9 +136,65 @@ class Histogram:
         return hash(self.bins.tobytes())
 
 
+# Rasters of at least this many pixels are read as uint16 byte pairs; below
+# it the 65536-entry pair tables cost more than the halved per-pixel work
+# saves (measured: slower at 256x256, ahead at 512x512).
+_PAIR_CUTOFF = 1 << 18
+# byte pairs per block: bounds the intp temporaries of bincount and take
+_PAIR_BLOCK = 1 << 16
+
+
+def _pair_blocks(pixels: np.ndarray):
+    """Native uint16 views of the raster's byte pairs, ``_PAIR_BLOCK`` at a time.
+
+    An odd last pixel is in no pair.
+    """
+    pairs = pixels[: pixels.size & ~1].view(np.uint16)
+    for start in range(0, pairs.size, _PAIR_BLOCK):
+        yield pairs[start : start + _PAIR_BLOCK]
+
+
 def compute_histogram(image: GrayImage) -> Histogram:
     """Tally pixels per intensity; bins[v] counts pixels of value v."""
-    return Histogram(np.bincount(image.pixels, minlength=LEVELS))
+    pixels = image.pixels
+    if pixels.size < _PAIR_CUTOFF:
+        return Histogram(np.bincount(pixels, minlength=LEVELS))
+    table = np.zeros(LEVELS * LEVELS, dtype=np.int64)
+    for block in _pair_blocks(pixels):
+        table += np.bincount(block, minlength=LEVELS * LEVELS)
+    # a pair holds one pixel in its high byte and one in its low byte, so
+    # the row and column sums count every paired pixel in either byte order
+    table = table.reshape(LEVELS, LEVELS)
+    bins = table.sum(0) + table.sum(1)
+    if pixels.size % 2:
+        bins[pixels[-1]] += 1
+    return Histogram(bins)
+
+
+def _pair_table(lut: np.ndarray) -> np.ndarray:
+    """``lut`` applied to both bytes of every uint16.
+
+    Entry ``(h << 8) | l`` is ``(lut[h] << 8) | lut[l]``: each byte keeps its
+    half, so the table is right in either byte order.
+    """
+    wide = lut.astype(np.uint16)
+    return ((wide[:, None] << 8) | wide).ravel()
+
+
+def _map_pixels(pixels: np.ndarray, lut: np.ndarray) -> np.ndarray:
+    """``lut[pixels]`` as a new array."""
+    if pixels.size < _PAIR_CUTOFF:
+        # same bytes as lut[pixels], but np.take skips fancy indexing's overhead
+        return np.take(lut, pixels)
+    table = _pair_table(lut)
+    out = np.empty_like(pixels)
+    for src, dst in zip(_pair_blocks(pixels), _pair_blocks(out)):
+        # every uint16 indexes the table, so clipping never moves one; it
+        # only spares take the buffered output that mode="raise" needs
+        np.take(table, src, out=dst, mode="clip")
+    if pixels.size % 2:
+        out[-1] = lut[pixels[-1]]
+    return out
 
 
 # --- PGM codec ------------------------------------------------------------
@@ -285,10 +348,10 @@ def read_pgm(data: bytes) -> GrayImage:
         if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
             raise PgmFormatError("missing separator before binary raster")
         pos += 1
-        raster = data[pos : pos + count]
-        if len(raster) < count:
-            raise PgmLengthError(f"raster holds {len(raster)} bytes, expected {count}")
-        pixels = np.frombuffer(raster, dtype=np.uint8)
+        if len(data) - pos < count:
+            raise PgmLengthError(f"raster holds {len(data) - pos} bytes, expected {count}")
+        # a view into ``data``: GrayImage's frozen copy is the raster's only copy
+        pixels = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
     else:
         # every sample takes a digit and all but the last a separator, so a
         # short payload is rejected before a header-sized allocation
@@ -305,4 +368,4 @@ def read_pgm(data: bytes) -> GrayImage:
 def write_pgm(image: GrayImage) -> bytes:
     """Encode as binary P5 with the canonical ``P5\\n<w> <h>\\n255\\n`` header."""
     header = f"P5\n{image.width} {image.height}\n{MAX_INTENSITY}\n".encode("ascii")
-    return header + image.pixels.tobytes()
+    return b"".join((header, image.pixels))

@@ -76,31 +76,29 @@ def between_class_variance(hist: Histogram, thresholds) -> float:
     return acc
 
 
-def _class_table(counts, weighted) -> np.ndarray:
-    """``H[u, v] = S(u..v)^2 / max(C(u..v), 1)``: class [u, v]'s term of J.
-
-    Entries with v < u mean nothing; the scan masks or skips them.
-    """
-    c = np.asarray(counts, dtype=np.float64)
-    s = np.asarray(weighted, dtype=np.float64)
-    table = s[None, 1:] - s[:-1, None]
-    table *= table
-    count = c[None, 1:] - c[:-1, None]
-    table /= np.maximum(count, 1.0, out=count)
-    return table
+def _terms(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``sums^2 / max(counts, 1)``, in place: the J terms of classes with these moments."""
+    sums *= sums
+    sums /= np.maximum(counts, 1.0, out=counts)
+    return sums
 
 
-def _scored_blocks(table: np.ndarray, k: int):
+def _scored_blocks(counts, weighted, k: int):
     """Yield (origin, j) blocks scoring every ascending k-tuple exactly once.
 
     ``j[i]`` scores the thresholds ``origin + i``; entries that are not
     ascending hold -inf. Blocks come in lexicographic order of their
     tuples, and so do the entries of a block in C order.
     """
-    last = table[1:, MAX_INTENSITY]  # last[t]: the top class above a cut at t
+    c = np.asarray(counts, dtype=np.float64)
+    s = np.asarray(weighted, dtype=np.float64)
+    # last[t]: the top class [t+1, 255] above a cut at t
+    last = _terms(s[-1] - s[1:-1], c[-1] - c[1:-1])
     if k == 1:
-        yield (0,), table[0, : _CUT_MAX + 1] + last
+        yield (0,), _terms(s[1:-1] - s[0], c[1:-1] - c[0]) + last
         return
+    # table[u, v]: class [u, v]'s term (entries with v < u mean nothing)
+    table = _terms(s[None, 1:] - s[:-1, None], c[None, 1:] - c[:-1, None])
     # tail[t, u]: the two top classes above cuts t < u
     tail = table[1:, : _CUT_MAX + 1] + last
     tail[np.tri(_CUT_MAX + 1, dtype=bool)] = -np.inf
@@ -152,7 +150,7 @@ def otsu_multilevel_exhaustive(hist: Histogram, k: int) -> OtsuResult:
     # (and starts at 0 for k < 3), so the test on it can skip a whole block.
     best = -np.inf
     near = []
-    for origin, j in _scored_blocks(_class_table(counts, weighted), k):
+    for origin, j in _scored_blocks(counts, weighted, k):
         top = j.max()
         best = max(best, top)
         cutoff = best - max(abs(best), 1.0) * _REL_BAND

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .image import LEVELS, MAX_INTENSITY, GrayImage, Histogram, compute_histogram
+from .image import LEVELS, MAX_INTENSITY, GrayImage, Histogram, _map_pixels, compute_histogram
 from .quality import histogram_mse, psnr_from_mse
 from .stats import (
     RangeStats,
@@ -212,8 +212,7 @@ def segment(hist: Histogram, params: SegmentationParams) -> SegmentationResult:
 
 def apply_mapping(image: GrayImage, result: SegmentationResult) -> GrayImage:
     """Quantize every pixel through the result's lookup table."""
-    # same bytes as lut[pixels], but np.take skips fancy indexing's overhead
-    return GrayImage(image.width, image.height, np.take(result.lut, image.pixels))
+    return GrayImage(image.width, image.height, _map_pixels(image.pixels, result.lut))
 
 
 def segment_pixels(

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 
 import mvthresh
 import mvthresh.cli as cli_module
+import mvthresh.image as image_module
 import mvthresh.quality as quality_module
 from mvthresh.cli import RunReport, main
 from mvthresh.image import GrayImage, read_pgm, write_pgm
@@ -118,6 +119,28 @@ class TestSegmentCommand:
         assert code == EXIT_IO
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_odd_raster_above_the_pair_cutoff(self, tmp_path, capsys):
+        # an odd pixel count from the cutoff up: both pixel passes read byte
+        # pairs, and the last pixel goes on its own
+        image = GrayImage.from_array(
+            np.clip(np.random.default_rng(4).normal(128, 40, (1023, 1025)), 0, 255).astype(np.uint8)
+        )
+        assert image.pixels.size % 2 and image.pixels.size > image_module._PAIR_CUTOFF
+        src, out, report = tmp_path / "big.pgm", tmp_path / "q.pgm", tmp_path / "r.json"
+        src.write_bytes(write_pgm(image))
+        code = main(
+            ["segment", "--input", str(src), "--levels", "9", "--output", str(out),
+             "--report", str(report)]
+        )
+        assert code == EXIT_OK
+        run = RunReport.from_json(report.read_text(encoding="utf-8"))
+        lut = np.empty(256, dtype=np.uint8)
+        for lo, hi, value in run.classes:
+            lut[lo : hi + 1] = value
+        quantized = read_pgm(out.read_bytes())
+        assert np.array_equal(quantized.pixels, lut[image.pixels])
+        assert run.quality.mse == quality_module.mse(image, quantized)
 
     def test_quality_never_rescans_pixels(self, tmp_path, blob_pgm, monkeypatch):
         calls = []

@@ -133,6 +133,30 @@ class TestReadPgm:
         img = read_pgm(b"P5 1 1 255\n" + bytes([42]) + b"\n")
         assert list(img.pixels) == [42]
 
+    def test_binary_raster_outlives_a_mutable_buffer(self):
+        data = bytearray(b"P5 3 2 255\n" + bytes(range(6)) + b"trailing")
+        img = read_pgm(data)
+        data[:] = bytes(len(data))
+        assert list(img.pixels) == list(range(6))
+        assert not img.pixels.flags.writeable
+
+    @pytest.mark.parametrize("raster", [b"", bytes([1, 2, 3])])
+    def test_short_binary_raster_names_its_length(self, raster):
+        with pytest.raises(PgmLengthError, match=rf"^raster holds {len(raster)} bytes, expected 4$"):
+            read_pgm(b"P5 2 2 255\n" + raster)
+
+    def test_binary_codec_copies_the_raster_once_each_way(self):
+        img = GrayImage(1024, 1024, np.random.default_rng(2).integers(0, 256, 1 << 20))
+        data = write_pgm(img)
+        for call, arg in ((read_pgm, data), (write_pgm, img)):
+            tracemalloc.start()
+            try:
+                call(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * img.pixels.size, call.__name__
+
 
 class TestAsciiRaster:
     @settings(max_examples=500)

@@ -6,9 +6,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvthresh.image as image_module
 import mvthresh.quality as quality_module
 import mvthresh.segmentation as seg_module
 from mvthresh.image import GrayImage, Histogram, compute_histogram
@@ -220,6 +221,49 @@ class TestApplyMapping:
     def test_output_alphabet_bounded(self, img, n):
         result, out = segment_image(img, SegmentationParams(n=n))
         assert len(set(out.pixels.tolist())) <= n + 1
+
+
+_CUTOFF = image_module._PAIR_CUTOFF
+
+
+@st.composite
+def lookup_results(draw):
+    """A result with random cuts and a random value inside each class."""
+    cuts = sorted(draw(st.sets(st.integers(0, 254), min_size=1, max_size=16)))
+    bounds = [-1] + cuts + [255]
+    classes = tuple(
+        (SubRange(lo + 1, hi), draw(st.integers(lo + 1, hi)))
+        for lo, hi in zip(bounds, bounds[1:])
+    )
+    return SegmentationResult(thresholds=tuple(cuts), classes=classes)
+
+
+class TestPairPasses:
+    """From the cutoff up both pixel passes read byte pairs; they must count and map alike."""
+
+    @settings(max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1), result=lookup_results())
+    @pytest.mark.parametrize("fill", ["random", "zeros", "full"])
+    @pytest.mark.parametrize(
+        "size",
+        [1, 2, 3, _CUTOFF - 2, _CUTOFF - 1, _CUTOFF, _CUTOFF + 1, _CUTOFF + 2, _CUTOFF + 2001],
+    )
+    def test_match_the_one_byte_passes(self, size, fill, seed, result):
+        # all-0 and all-255 rasters fill only pair bins 0 and 65535
+        pixels = {
+            "random": lambda: np.random.default_rng(seed).integers(0, 256, size, dtype=np.uint8),
+            "zeros": lambda: np.zeros(size, dtype=np.uint8),
+            "full": lambda: np.full(size, 255, dtype=np.uint8),
+        }[fill]()
+        img = GrayImage(size, 1, pixels)
+        assert np.array_equal(compute_histogram(img).bins, np.bincount(pixels, minlength=256))
+        assert np.array_equal(apply_mapping(img, result).pixels, result.lut[pixels])
+
+    @given(lookup_results())
+    def test_pair_table_maps_both_native_bytes(self, result):
+        table = image_module._pair_table(result.lut)
+        native = np.arange(1 << 16, dtype=np.uint16).view(np.uint8).reshape(-1, 2)
+        assert np.array_equal(table.view(np.uint8).reshape(-1, 2), result.lut[native])
 
 
 class TestSegmentationResult:
