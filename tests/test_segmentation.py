@@ -239,7 +239,7 @@ def lookup_results(draw):
 
 
 class TestPairPasses:
-    """From the cutoff up both pixel passes read byte pairs; they must count and map alike."""
+    """The byte-pair passes must count and map like the one-byte code, across the cutoff."""
 
     @settings(max_examples=10)
     @given(seed=st.integers(0, 2**32 - 1), result=lookup_results())
