@@ -204,10 +204,6 @@ def _map_pixels(pixels: np.ndarray, lut: np.ndarray) -> np.ndarray:
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
-class _EndOfHeader(PgmFormatError):
-    """Ran out of bytes while a header token was still expected."""
-
-
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     """Token after whitespace/comment runs; returns (token, index past it)."""
     n = len(data)
@@ -221,7 +217,7 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
         else:
             break
     if pos >= n:
-        raise _EndOfHeader("unexpected end of header")
+        raise PgmFormatError("unexpected end of header")
     start = pos
     while pos < n and data[pos : pos + 1] not in _WHITESPACE and data[pos : pos + 1] != b"#":
         pos += 1
@@ -256,10 +252,14 @@ def _comment_mask(body: np.ndarray) -> np.ndarray:
     return hashes > line_start
 
 
-def _p2_block_samples(data: bytes, start: int, stop: int, wanted: int) -> np.ndarray | None:
-    """Values of the first ``wanted`` tokens in ``data[start:stop]``, or None.
+def _p2_block_samples(data: bytes, start: int, stop: int, wanted: int, maxval: int) -> np.ndarray:
+    """Values of the first ``wanted`` tokens in ``data[start:stop]``.
 
-    None means one of those tokens is not a run of one to three digits.
+    Tokens of one to three digits are decoded with array operations. An odd
+    token, one that is longer, holds a non-digit byte or exceeds ``maxval``,
+    is re-read on its own through ``_header_int``, in stream order: the first
+    bad one raises the message the header reader gives, and a zero-padded
+    valid one is kept.
     """
     body = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
     kind = _BYTE_KIND[body]
@@ -270,28 +270,36 @@ def _p2_block_samples(data: bytes, start: int, stop: int, wanted: int) -> np.nda
     edges = np.flatnonzero(in_token[1:] != in_token[:-1])  # alternating token start, token end
     starts, ends = edges[0 : 2 * wanted : 2], edges[1 : 2 * wanted : 2]
     widths = ends - starts
-    if ends.size and (widths.max() > 3 or kind[: ends[-1]].max() == _OTHER):
-        return None
     values = _DIGIT_VALUE[body[ends - 1]]
     for place, scale in ((2, 10), (3, 100)):
         # clamped into the token: a shorter one must not index before the block
         digits = _DIGIT_VALUE[body[np.maximum(ends - place, starts)]]
         values += digits * scale * (widths >= place)
+    odd = (widths > 3) | (values > maxval)
+    # the gaps are all _SPACE, so a token's largest kind is the largest up to
+    # the next token; reduceat is slow, so it runs only for a non-digit byte
+    if ends.size and kind[: ends[-1]].max() == _OTHER:
+        odd |= np.maximum.reduceat(kind[: ends[-1]], starts) == _OTHER
+    for i in np.flatnonzero(odd).tolist():
+        value, _ = _header_int(data, start + int(starts[i]), "sample")
+        if value > maxval:
+            raise PgmFormatError(f"sample {value} exceeds maxval {maxval}")
+        values[i] = value
     return values
 
 
 def _decode_p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
-    """The first ``count`` ASCII samples after ``data[pos]``, decoded with array operations.
+    """The first ``count`` ASCII samples after ``data[pos]``, block by block.
 
-    Tokens of one to three digits, which every real P2 file holds, never
-    leave numpy. Anything else (a non-digit byte, a longer field or too few
-    samples) goes to the token walk, which names the first error.
+    Raises for the first malformed sample in stream order, with the message
+    a token-by-token read gives, and ``PgmLengthError`` when the data ends
+    before ``count`` samples.
     """
     pixels = np.empty(count, dtype=np.uint8)
     done, start = 0, pos
     while done < count:
         if start == len(data):
-            return _walk_p2_raster(data, pos, count, maxval)
+            raise PgmLengthError(f"raster holds {done} samples, expected {count}")
         if len(data) - start <= _P2_BLOCK:
             stop = len(data)
         else:  # cut after a newline, so that no token or comment spans two blocks
@@ -300,30 +308,11 @@ def _decode_p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndar
                 or data.find(b"\n", start + _P2_BLOCK) + 1
                 or len(data)
             )
-        values = _p2_block_samples(data, start, stop, count - done)
-        if values is None:
-            return _walk_p2_raster(data, pos, count, maxval)
-        over = np.flatnonzero(values > maxval)
-        if over.size:
-            raise PgmFormatError(f"sample {int(values[over[0]])} exceeds maxval {maxval}")
+        values = _p2_block_samples(data, start, stop, count - done, maxval)
         pixels[done : done + values.size] = values
         done += values.size
         start = stop
     return pixels
-
-
-def _walk_p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
-    """Token-by-token decode that raises for the first bad sample in stream order."""
-    samples = np.empty(count, dtype=np.uint8)
-    for i in range(count):
-        try:
-            value, pos = _header_int(data, pos, "sample")
-        except _EndOfHeader:
-            raise PgmLengthError(f"raster holds {i} samples, expected {count}") from None
-        if value > maxval:
-            raise PgmFormatError(f"sample {value} exceeds maxval {maxval}")
-        samples[i] = value
-    return samples
 
 
 def read_pgm(data: bytes) -> GrayImage:

@@ -23,7 +23,10 @@ from conftest import gray_images, histograms, pgm_bytes
 from oracles import moments, pixel_tally, reference_p2_raster
 
 _P2_SEPARATORS = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n", b"#c\n", b"#"]
-_P2_ODD_FIELDS = [b"0", b"255", b"256", b"300", b"007", b"0000000012", b"x", b"1a", b"-1", b"\xff"]
+_P2_ODD_FIELDS = [
+    b"0", b"255", b"256", b"300", b"007", b"0000000012", b"0000", b"00000000256",
+    b"x", b"1a", b"-1", b"\xff",
+]
 
 
 @st.composite
@@ -40,7 +43,7 @@ def p2_files(draw):
     count = width * height
     sample = st.integers(0, 255).map(b"%d".__mod__)
     if draw(st.booleans()):
-        field = st.one_of(sample, st.sampled_from([b"007", b"0000000012"]))
+        field = st.one_of(sample, st.sampled_from([b"007", b"0000000012", b"0000"]))
         min_gap = 1
     else:
         field = st.one_of(sample, st.sampled_from(_P2_ODD_FIELDS))
@@ -220,6 +223,28 @@ class TestAsciiRaster:
             tracemalloc.stop()
         # besides the decoded raster and the image's private copy of it
         assert peak - 2 * pixels.size < 2 << 20
+
+    @pytest.mark.parametrize("last", [b"1a", b"256", b"0012"])
+    def test_one_odd_token_is_read_on_its_own(self, monkeypatch, last):
+        """An odd last sample of a many-block file costs one token read, not one per sample."""
+        rows = np.random.default_rng(8).integers(0, 256, (256, 256)).tolist()
+        text = "P2 256 256 255\n" + "\n".join(" ".join(map(str, row)) for row in rows)
+        data = text[: text.rindex(" ") + 1].encode("ascii") + last
+        assert len(data) > 2 * image_module._P2_BLOCK
+        calls = []
+        real = image_module._header_int
+        monkeypatch.setattr(
+            image_module, "_header_int", lambda *args: calls.append(args[2]) or real(*args)
+        )
+        try:
+            want = reference_p2_raster(data[len(b"P2 256 256 255") :], 256 * 256, 255)
+        except PgmError as exc:
+            with pytest.raises(PgmError) as info:
+                read_pgm(data)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        else:
+            assert list(read_pgm(data).pixels) == want
+        assert calls == ["width", "height", "maxval", "sample"]
 
 
 class TestWritePgm:
