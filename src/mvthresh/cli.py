@@ -10,27 +10,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .image import GrayImage, PgmError, compute_histogram, read_pgm, write_pgm
 from .otsu import otsu_multilevel_exhaustive
-from .quality import (
-    QualityReport,
-    format_db,
-    histogram_mse,
-    median_elapsed_ms,
-    psnr_from_mse,
-    timed,
-)
-from .segmentation import (
-    Replacement,
-    SegmentationParams,
-    auto_select_n,
-    segment_image,
-    segment_pixels,
-)
+from .quality import format_db, histogram_mse, median_elapsed_ms, parse_db, psnr_from_mse, timed
+from .segmentation import Replacement, SegmentationParams, auto_select_n, segment_pixels
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -41,14 +29,20 @@ BENCH_RUNS = 20
 
 @dataclass(frozen=True)
 class RunReport:
-    """Machine-readable record of one segmentation run."""
+    """Machine-readable record of one segmentation run: its cut and its quality."""
 
     input_path: str
     params: SegmentationParams
     thresholds: tuple[int, ...]
     classes: tuple[tuple[int, int, int], ...]  # (lo, hi, replacement)
     effective_n: int
-    quality: QualityReport
+    mse: float
+    psnr_db: float
+    elapsed_ms: float
+
+    def __post_init__(self):
+        if (self.mse == 0.0) != math.isinf(self.psnr_db):
+            raise ValueError("psnr must be the infinity sentinel exactly when mse is 0")
 
     def to_dict(self) -> dict:
         return {
@@ -59,11 +53,16 @@ class RunReport:
                 {"lo": lo, "hi": hi, "value": value} for lo, hi, value in self.classes
             ],
             "effective_n": self.effective_n,
-            "quality": self.quality.to_dict(),
+            "quality": {
+                "mse": self.mse,
+                "psnr_db": format_db(self.psnr_db),
+                "elapsed_ms": self.elapsed_ms,
+            },
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunReport":
+        quality = payload["quality"]
         return cls(
             input_path=payload["input_path"],
             params=SegmentationParams.from_dict(payload["params"]),
@@ -72,7 +71,9 @@ class RunReport:
                 (int(c["lo"]), int(c["hi"]), int(c["value"])) for c in payload["classes"]
             ),
             effective_n=int(payload["effective_n"]),
-            quality=QualityReport.from_dict(payload["quality"]),
+            mse=float(quality["mse"]),
+            psnr_db=parse_db(quality["psnr_db"]),
+            elapsed_ms=float(quality["elapsed_ms"]),
         )
 
     def to_json(self) -> str:
@@ -122,26 +123,22 @@ def cmd_segment(args) -> int:
     Path(args.output).write_bytes(write_pgm(quantized))
 
     err = histogram_mse(hist, result.lut)
-    quality = QualityReport(
-        mse=err,
-        psnr_db=psnr_from_mse(err),
-        elapsed_ms=elapsed,
-        params=params,
-    )
     report = RunReport(
         input_path=args.input,
         params=params,
         thresholds=result.thresholds,
         classes=tuple((iv.lo, iv.hi, value) for iv, value in result.classes),
         effective_n=result.effective_n,
-        quality=quality,
+        mse=err,
+        psnr_db=psnr_from_mse(err),
+        elapsed_ms=elapsed,
     )
     if args.report:
         Path(args.report).write_text(report.to_json(), encoding="utf-8")
 
     _print_thresholds(result.thresholds)
     print(f"effective_n: {result.effective_n}")
-    print(f"psnr_db: {format_db(quality.psnr_db, 2)}")
+    print(f"psnr_db: {format_db(report.psnr_db, 2)}")
     return EXIT_OK
 
 
@@ -165,9 +162,6 @@ def cmd_otsu(args) -> int:
     image = _load_image(args.input)
     hist = compute_histogram(image)
     result, elapsed = timed(otsu_multilevel_exhaustive, hist, args.classes - 1)
-    _print_thresholds(result.thresholds)
-    print(f"criterion: {result.criterion:.4f}")
-    print(f"elapsed_ms: {elapsed:.3f}")
     if args.report:
         payload = {
             "input_path": args.input,
@@ -177,6 +171,9 @@ def cmd_otsu(args) -> int:
             "elapsed_ms": elapsed,
         }
         Path(args.report).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    _print_thresholds(result.thresholds)
+    print(f"criterion: {result.criterion:.4f}")
+    print(f"elapsed_ms: {elapsed:.3f}")
     return EXIT_OK
 
 
@@ -212,10 +209,9 @@ def cmd_bench(args) -> int:
     rows = []
     for path in paths:
         image = _load_image(str(path))
-        hist = compute_histogram(image)
         for params in level_params:
-            (result, _), elapsed = median_elapsed_ms(
-                segment_image, image, params, runs=BENCH_RUNS
+            (hist, result, _), elapsed = median_elapsed_ms(
+                segment_pixels, image, params, runs=BENCH_RUNS
             )
             value = psnr_from_mse(histogram_mse(hist, result.lut))
             rows.append(

@@ -10,15 +10,11 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, TypeVar
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
 from .image import LEVELS, GrayImage, Histogram
-
-if TYPE_CHECKING:
-    from .segmentation import SegmentationParams
 
 T = TypeVar("T")
 
@@ -102,36 +98,3 @@ def parse_db(text: Any) -> float:
     if text == "inf":
         return math.inf
     return float(text)
-
-
-@dataclass(frozen=True)
-class QualityReport:
-    """MSE, PSNR and elapsed time for one segmentation run."""
-
-    mse: float
-    psnr_db: float
-    elapsed_ms: float
-    params: "SegmentationParams"
-
-    def __post_init__(self):
-        if (self.mse == 0.0) != math.isinf(self.psnr_db):
-            raise ValueError("psnr must be the infinity sentinel exactly when mse is 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "mse": self.mse,
-            "psnr_db": format_db(self.psnr_db),
-            "elapsed_ms": self.elapsed_ms,
-            "params": self.params.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "QualityReport":
-        from .segmentation import SegmentationParams
-
-        return cls(
-            mse=float(payload["mse"]),
-            psnr_db=parse_db(payload["psnr_db"]),
-            elapsed_ms=float(payload["elapsed_ms"]),
-            params=SegmentationParams.from_dict(payload["params"]),
-        )

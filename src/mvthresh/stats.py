@@ -24,10 +24,6 @@ class SubRange:
         if not (0 <= self.lo <= self.hi <= MAX_INTENSITY):
             raise ValueError(f"invalid sub-range [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo + 1
-
 
 @dataclass(frozen=True)
 class RangeStats:

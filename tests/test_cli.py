@@ -17,6 +17,7 @@ import mvthresh.image as image_module
 import mvthresh.quality as quality_module
 from mvthresh.cli import RunReport, main
 from mvthresh.image import GrayImage, read_pgm, write_pgm
+from mvthresh.segmentation import SegmentationParams
 from mvthresh.synthetic import soft_blobs
 
 from conftest import pgm_bytes
@@ -140,7 +141,7 @@ class TestSegmentCommand:
             lut[lo : hi + 1] = value
         quantized = read_pgm(out.read_bytes())
         assert np.array_equal(quantized.pixels, lut[image.pixels])
-        assert run.quality.mse == quality_module.mse(image, quantized)
+        assert run.mse == quality_module.mse(image, quantized)
 
     def test_quality_never_rescans_pixels(self, tmp_path, blob_pgm, monkeypatch):
         calls = []
@@ -157,7 +158,7 @@ class TestSegmentCommand:
         assert calls == []
         quantized = read_pgm((tmp_path / "o.pgm").read_bytes())
         original = read_pgm(blob_pgm.read_bytes())
-        assert RunReport.from_json(report.read_text()).quality.mse == real(original, quantized)
+        assert RunReport.from_json(report.read_text()).mse == real(original, quantized)
 
     def test_bad_kappa_schedule_rejected(self, tmp_path, blob_pgm):
         code = main(
@@ -294,6 +295,18 @@ class TestOtsuCommand:
         assert payload["classes"] == 3
         assert len(payload["thresholds"]) == 2
 
+    def test_unwritable_report_prints_no_result(self, tmp_path, capsys):
+        path = two_spike_pgm(tmp_path)
+        code = main(
+            ["otsu", "--input", str(path), "--classes", "2",
+             "--report", str(tmp_path / "missing" / "o.json")]
+        )
+        assert code == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     @pytest.mark.parametrize("classes", ["1", "5"])
     def test_class_count_out_of_range(self, tmp_path, classes):
         path = two_spike_pgm(tmp_path)
@@ -354,9 +367,52 @@ class TestReportRoundTrip:
              "--output", str(tmp_path / "o.pgm"), "--report", str(report_path)]
         ) == EXIT_OK
         parsed = RunReport.from_json(report_path.read_text())
-        assert math.isinf(parsed.quality.psnr_db)
-        assert parsed.quality.mse == 0.0
+        assert math.isinf(parsed.psnr_db)
+        assert parsed.mse == 0.0
         assert parsed.thresholds == (100,)
+
+    def test_params_written_once(self, tmp_path, blob_pgm):
+        report_path = tmp_path / "r.json"
+        assert main(
+            ["segment", "--input", str(blob_pgm), "--levels", "5",
+             "--output", str(tmp_path / "o.pgm"), "--report", str(report_path)]
+        ) == EXIT_OK
+        payload = json.loads(report_path.read_text())
+        assert list(payload) == [
+            "input_path", "params", "thresholds", "classes", "effective_n", "quality"
+        ]
+        assert list(payload["quality"]) == ["mse", "psnr_db", "elapsed_ms"]
+
+
+def run_report(mse, psnr_db):
+    return RunReport(
+        input_path="in.pgm",
+        params=SegmentationParams(n=3, kappa_schedule=((0.9, 1.1),)),
+        thresholds=(60, 120, 180),
+        classes=((0, 59, 30), (60, 119, 90), (120, 179, 150), (180, 255, 218)),
+        effective_n=3,
+        mse=mse,
+        psnr_db=psnr_db,
+        elapsed_ms=0.71,
+    )
+
+
+class TestRunReport:
+    def test_zero_mse_requires_infinite_psnr(self):
+        with pytest.raises(ValueError):
+            run_report(mse=0.0, psnr_db=51.0)
+        with pytest.raises(ValueError):
+            run_report(mse=4.0, psnr_db=math.inf)
+
+    def test_dict_round_trip(self):
+        report = run_report(mse=2.5, psnr_db=44.15)
+        assert RunReport.from_dict(report.to_dict()) == report
+
+    def test_infinity_serialized_as_sentinel(self):
+        report = run_report(mse=0.0, psnr_db=math.inf)
+        payload = report.to_dict()
+        assert payload["quality"]["psnr_db"] == "inf"
+        assert RunReport.from_dict(payload) == report
 
 
 # Each flag value here is rejected by the library (SegmentationParams,

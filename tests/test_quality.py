@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mvthresh.image import GrayImage, Histogram, compute_histogram
 from mvthresh.quality import (
-    QualityReport,
     format_db,
     histogram_mse,
     median_elapsed_ms,
@@ -161,24 +160,3 @@ class TestTimed:
     def test_median_rejects_zero_runs(self):
         with pytest.raises(ValueError):
             median_elapsed_ms(lambda: None, runs=0)
-
-
-class TestQualityReport:
-    def test_zero_mse_requires_infinite_psnr(self):
-        params = SegmentationParams(n=3)
-        with pytest.raises(ValueError):
-            QualityReport(mse=0.0, psnr_db=51.0, elapsed_ms=1.0, params=params)
-        with pytest.raises(ValueError):
-            QualityReport(mse=4.0, psnr_db=math.inf, elapsed_ms=1.0, params=params)
-
-    def test_dict_round_trip(self):
-        params = SegmentationParams(n=5, kappa_schedule=((0.9, 1.1),))
-        report = QualityReport(mse=2.5, psnr_db=44.15, elapsed_ms=0.71, params=params)
-        assert QualityReport.from_dict(report.to_dict()) == report
-
-    def test_infinity_serialized_as_sentinel(self):
-        params = SegmentationParams(n=3)
-        report = QualityReport(mse=0.0, psnr_db=math.inf, elapsed_ms=0.2, params=params)
-        payload = report.to_dict()
-        assert payload["psnr_db"] == "inf"
-        assert QualityReport.from_dict(payload) == report

@@ -441,7 +441,7 @@ class TestComplexity:
         calls = []
         real = seg_module.range_stats
         monkeypatch.setattr(
-            seg_module, "range_stats", lambda h, r: calls.append(r.width) or real(h, r)
+            seg_module, "range_stats", lambda h, r: calls.append(r.hi - r.lo + 1) or real(h, r)
         )
         rng = np.random.default_rng(3)
         bins = rng.integers(1, 50, size=256).astype(np.int64)

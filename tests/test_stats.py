@@ -22,9 +22,6 @@ def hist_of(values):
 
 
 class TestSubRange:
-    def test_width(self):
-        assert SubRange(10, 12).width == 3
-
     @pytest.mark.parametrize("lo,hi", [(-1, 5), (5, 3), (0, 256)])
     def test_rejects_bad_bounds(self, lo, hi):
         with pytest.raises(ValueError):
