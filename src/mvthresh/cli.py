@@ -134,7 +134,11 @@ def cmd_segment(args) -> int:
         elapsed_ms=elapsed,
     )
     if args.report:
-        Path(args.report).write_text(report.to_json(), encoding="utf-8")
+        try:
+            Path(args.report).write_text(report.to_json(), encoding="utf-8")
+        except OSError:
+            Path(args.output).unlink(missing_ok=True)  # a failed run leaves no output
+            raise
 
     _print_thresholds(result.thresholds)
     print(f"effective_n: {result.effective_n}")

@@ -6,9 +6,8 @@ rescanning pixels.
 
 The two passes over the pixels, the histogram and the lookup-table mapping,
 read the raster as native uint16 byte pairs through 65536-entry tables, in
-blocks, which halves their per-pixel work and bounds their temporaries. The
-mapping does so at every size; the histogram only from ``_PAIR_CUTOFF``
-pixels up, and counts smaller rasters one byte at a time.
+blocks, at every size, which halves their per-pixel work and bounds their
+temporaries.
 The binary P5 codec copies the raster once each way: into the image's
 private array on decode, into the output bytes on encode.
 """
@@ -137,12 +136,6 @@ class Histogram:
         return hash(self.bins.tobytes())
 
 
-# The histogram counts rasters of at least this many pixels as byte pairs;
-# below it zeroing and folding the 65536-bin pair table costs more than the
-# halved per-pixel work saves (measured: slower at 256x256, ahead at
-# 512x512). The mapping reads pairs at every size: it wins from 256x256 up
-# and loses at most 0.02 ms below.
-_PAIR_CUTOFF = 1 << 18
 # Byte pairs per block: bounds the intp temporaries of bincount and take.
 # Measured best of 2^14-2^19: larger blocks gain at most 0.5 ms on the
 # 2048x2048 histogram but make the 512x512 mapping about three times slower.
@@ -152,20 +145,21 @@ _PAIR_BLOCK = 1 << 16
 def _pair_blocks(pixels: np.ndarray):
     """Native uint16 views of the raster's byte pairs, ``_PAIR_BLOCK`` at a time.
 
-    An odd last pixel is in no pair.
+    An odd last pixel is in no pair; a raster with no pair yields one empty block.
     """
     pairs = pixels[: pixels.size & ~1].view(np.uint16)
-    for start in range(0, pairs.size, _PAIR_BLOCK):
+    for start in range(0, max(pairs.size, 1), _PAIR_BLOCK):
         yield pairs[start : start + _PAIR_BLOCK]
 
 
 def compute_histogram(image: GrayImage) -> Histogram:
     """Tally pixels per intensity; bins[v] counts pixels of value v."""
     pixels = image.pixels
-    if pixels.size < _PAIR_CUTOFF:
-        return Histogram(np.bincount(pixels, minlength=LEVELS))
-    table = np.zeros(LEVELS * LEVELS, dtype=np.int64)
-    for block in _pair_blocks(pixels):
+    blocks = _pair_blocks(pixels)
+    # the first block's count is the table: zero-filling a separate 512 KiB
+    # one and adding into it costs more than a small raster's whole count
+    table = np.bincount(next(blocks), minlength=LEVELS * LEVELS)
+    for block in blocks:
         table += np.bincount(block, minlength=LEVELS * LEVELS)
     # a pair holds one pixel in its high byte and one in its low byte, so
     # the row and column sums count every paired pixel in either byte order

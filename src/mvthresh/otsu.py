@@ -59,6 +59,7 @@ class OtsuResult:
 def between_class_variance(hist: Histogram, thresholds) -> float:
     """sum over classes of w_c * (mu_c - mu_total)^2; empty classes add 0.
 
+    Computed exactly as J/N - (S/N)^2 and rounded once to float.
     ``thresholds`` must be strictly increasing within [0, 254] and partition
     [0, 255] into classes [0, t1], [t1+1, t2], ..., [t_k+1, 255].
     """
@@ -66,14 +67,9 @@ def between_class_variance(hist: Histogram, thresholds) -> float:
     if hist.total == 0:
         return 0.0
     counts, weighted, _ = hist.moments
-    signature = _class_signature(counts, weighted, ts)
     n = hist.total
-    mu_total = weighted[-1] / n
-    acc = 0.0
-    for c, s in zip(signature[::2], signature[1::2]):
-        if c:
-            acc += (c / n) * (s / c - mu_total) ** 2
-    return acc
+    j = _exact_j(_class_signature(counts, weighted, ts))
+    return float(j / n - Fraction(weighted[-1], n) ** 2)
 
 
 def _terms(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -170,9 +166,7 @@ def otsu_multilevel_exhaustive(hist: Histogram, k: int) -> OtsuResult:
         return _exact_j(_class_signature(counts, weighted, ts))
 
     best_tuple = max(map(tuple, tuples.tolist()), key=exact)
-    n = hist.total
-    criterion = exact(best_tuple) / n - Fraction(weighted[-1], n) ** 2
-    return OtsuResult(thresholds=best_tuple, criterion=float(criterion))
+    return OtsuResult(thresholds=best_tuple, criterion=between_class_variance(hist, best_tuple))
 
 
 def otsu_bilevel(hist: Histogram) -> OtsuResult:

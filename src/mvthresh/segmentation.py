@@ -272,11 +272,10 @@ def auto_select_n(
     """
     if not math.isfinite(epsilon) or epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if n_max % 2 == 0 or n_max < 3:
-        raise ValueError(f"n_max must be an odd integer >= 3, got {n_max}")
+    widest = replace(base, n=n_max)  # checks n_max as a threshold count
     hist = compute_histogram(image)
     _ = hist.moments  # shared by every row, so built before the first is timed
-    passes = _passes(hist, replace(base, n=n_max))
+    passes = _passes(hist, widest)
     state = next(passes)
     sweep: list[SweepPoint] = []
     for n in range(3, n_max + 1, 2):

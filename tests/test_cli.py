@@ -121,13 +121,13 @@ class TestSegmentCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
-    def test_odd_raster_above_the_pair_cutoff(self, tmp_path, capsys):
-        # an odd pixel count from the cutoff up: both pixel passes read byte
-        # pairs, and the last pixel goes on its own
+    def test_odd_raster_over_several_pair_blocks(self, tmp_path, capsys):
+        # an odd pixel count over several blocks: both pixel passes read
+        # byte pairs, and the last pixel goes on its own
         image = GrayImage.from_array(
             np.clip(np.random.default_rng(4).normal(128, 40, (1023, 1025)), 0, 255).astype(np.uint8)
         )
-        assert image.pixels.size % 2 and image.pixels.size > image_module._PAIR_CUTOFF
+        assert image.pixels.size % 2 and image.pixels.size > 2 * image_module._PAIR_BLOCK
         src, out, report = tmp_path / "big.pgm", tmp_path / "q.pgm", tmp_path / "r.json"
         src.write_bytes(write_pgm(image))
         code = main(
@@ -223,6 +223,19 @@ class TestSegmentCommand:
             ) == EXIT_OK
             values[mode] = json.loads(report.read_text())["quality"]["mse"]
         assert values["weighted-mean"] <= values["midpoint"]
+
+    def test_unwritable_report_leaves_no_output(self, tmp_path, blob_pgm, capsys):
+        out = tmp_path / "q.pgm"
+        code = main(
+            ["segment", "--input", str(blob_pgm), "--levels", "5", "--output", str(out),
+             "--report", str(tmp_path / "missing" / "r.json")]
+        )
+        assert code == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "r.json" in err[0]
+        assert not out.exists()
 
 
 class TestSweepCommand:

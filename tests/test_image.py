@@ -336,6 +336,17 @@ class TestHistogram:
         shuffled = GrayImage(img.width, img.height, np.array(pixels, dtype=np.uint8))
         assert compute_histogram(shuffled) == compute_histogram(img)
 
+    def test_temporaries_do_not_grow_with_the_raster(self):
+        """The pair table and one block's temporaries: under 2 MiB for a 4 MiB raster."""
+        img = GrayImage(2048, 2048, np.random.default_rng(3).integers(0, 256, 1 << 22))
+        tracemalloc.start()
+        try:
+            compute_histogram(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
     @given(histograms())
     def test_moment_table_matches_oracle(self, hist):
         c0, c1, c2 = hist.moments

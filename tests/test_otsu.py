@@ -45,8 +45,7 @@ class TestBetweenClassVariance:
     def test_matches_per_class_oracle(self, hist, raw):
         thresholds = tuple(sorted(raw))
         got = between_class_variance(hist, thresholds)
-        want = float(bcv_fraction(list(hist.bins), thresholds))
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert got == float(bcv_fraction(list(hist.bins), thresholds))
 
 
 class TestBilevel:
@@ -83,8 +82,7 @@ class TestBilevel:
     @settings(max_examples=25)
     def test_criterion_is_the_achieved_variance(self, hist):
         result = otsu_bilevel(hist)
-        achieved = between_class_variance(hist, result.thresholds)
-        assert result.criterion == pytest.approx(achieved, rel=1e-9, abs=1e-9)
+        assert result.criterion == between_class_variance(hist, result.thresholds)
 
 
 class TestMultilevel:

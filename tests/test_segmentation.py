@@ -223,7 +223,7 @@ class TestApplyMapping:
         assert len(set(out.pixels.tolist())) <= n + 1
 
 
-_CUTOFF = image_module._PAIR_CUTOFF
+_CUTOFF = 4 * image_module._PAIR_BLOCK  # the pixels in two full blocks
 
 
 @st.composite
@@ -239,7 +239,7 @@ def lookup_results(draw):
 
 
 class TestPairPasses:
-    """The byte-pair passes must count and map like the one-byte code, across the cutoff."""
+    """The byte-pair passes must count and map like the one-byte code, across block edges."""
 
     @settings(max_examples=10)
     @given(seed=st.integers(0, 2**32 - 1), result=lookup_results())
