@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .image import GrayImage, PgmError, compute_histogram, read_pgm, write_pgm
+from .image import GrayImage, PgmError, _p5_header, compute_histogram, read_pgm
 from .otsu import otsu_multilevel_exhaustive
 from .quality import format_db, histogram_mse, median_elapsed_ms, parse_db, psnr_from_mse, timed
 from .segmentation import Replacement, SegmentationParams, auto_select_n, segment_pixels
@@ -112,6 +114,32 @@ def _load_image(path: str) -> GrayImage:
     return read_pgm(Path(path).read_bytes())
 
 
+def _replace_files(files: dict[str, tuple]) -> None:
+    """Write each path's byte chunks to a file beside it, then rename each into place.
+
+    Every file is written in full before any is replaced, so a failure leaves
+    the old files as they were; the temporary files are removed.
+    """
+    temps = {}
+    try:
+        for path, chunks in files.items():
+            target = Path(path)
+            temp = target.parent / f".{target.name}.{os.urandom(6).hex()}.tmp"
+            try:
+                with open(temp, "xb") as fh:
+                    temps[path] = temp
+                    fh.writelines(chunks)
+            except OSError as exc:
+                exc.filename = path  # the file asked for, not its temporary
+                raise
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        raise
+
+
 def _print_thresholds(thresholds) -> None:
     print("thresholds:", ", ".join(str(t) for t in thresholds))
 
@@ -120,8 +148,6 @@ def cmd_segment(args) -> int:
     params = _segmentation_params(args)
     image = _load_image(args.input)
     (hist, result, quantized), elapsed = timed(segment_pixels, image, params)
-    Path(args.output).write_bytes(write_pgm(quantized))
-
     err = histogram_mse(hist, result.lut)
     report = RunReport(
         input_path=args.input,
@@ -133,12 +159,10 @@ def cmd_segment(args) -> int:
         psnr_db=psnr_from_mse(err),
         elapsed_ms=elapsed,
     )
+    files = {args.output: (_p5_header(quantized), quantized.pixels)}
     if args.report:
-        try:
-            Path(args.report).write_text(report.to_json(), encoding="utf-8")
-        except OSError:
-            Path(args.output).unlink(missing_ok=True)  # a failed run leaves no output
-            raise
+        files[args.report] = (report.to_json().encode("utf-8"),)
+    _replace_files(files)
 
     _print_thresholds(result.thresholds)
     print(f"effective_n: {result.effective_n}")
@@ -236,6 +260,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one per process: building it costs more than a small sweep
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mvthresh",
@@ -258,35 +283,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     seg.add_argument("--output", required=True)
     seg.add_argument("--report", default=None)
-    seg.set_defaults(func=cmd_segment)
 
     sweep = sub.add_parser("sweep", help="PSNR vs n sweep with automatic n selection")
     sweep.add_argument("--input", required=True)
     sweep.add_argument("--max-levels", type=int, required=True)
     sweep.add_argument("--epsilon", type=float, required=True, help="saturation gain in dB")
     sweep.add_argument("--csv", required=True)
-    sweep.set_defaults(func=cmd_sweep)
 
     otsu = sub.add_parser("otsu", help="exhaustive Otsu baseline")
     otsu.add_argument("--input", required=True)
     otsu.add_argument("--classes", type=int, required=True, help="class count in [2, 4]")
     otsu.add_argument("--report", default=None)
-    otsu.set_defaults(func=cmd_otsu)
 
     bench = sub.add_parser("bench", help="median-of-20 timing table over a corpus")
     bench.add_argument("--input", nargs="+", required=True, help="PGM files or directories")
     bench.add_argument("--levels", default="3,5,7,9")
     bench.add_argument("--kappa", type=float, default=1.0)
     bench.add_argument("--csv", required=True)
-    bench.set_defaults(func=cmd_bench)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]  # looked up per call: a replaced cmd_* runs
     try:
-        return args.func(args)
+        return command(args)
     except (PgmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

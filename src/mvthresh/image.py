@@ -8,8 +8,11 @@ The two passes over the pixels, the histogram and the lookup-table mapping,
 read the raster as native uint16 byte pairs through 65536-entry tables, in
 blocks, at every size, which halves their per-pixel work and bounds their
 temporaries.
-The binary P5 codec copies the raster once each way: into the image's
-private array on decode, into the output bytes on encode.
+Decoding a binary P5 raster from ``bytes`` copies nothing: the image's
+array is a frozen view into the data. From a ``bytearray``, which its owner
+may change, it copies the raster once. ``write_pgm`` copies it once, into the
+bytes it returns; writing the header and then the pixels to a file, as
+``segment`` does, copies nothing.
 """
 
 from __future__ import annotations
@@ -69,6 +72,20 @@ class GrayImage:
                 raise ValueError("intensities must lie in [0, 255]")
             raw = raw.astype(np.uint8)
         object.__setattr__(self, "pixels", _frozen_copy(raw))
+
+    @classmethod
+    def _owning(cls, width: int, height: int, pixels: np.ndarray) -> "GrayImage":
+        """Image over a uint8 raster of ``width * height`` samples that no caller holds.
+
+        The array is frozen in place instead of copied; the package calls
+        this only on arrays it has just allocated or on views into ``bytes``.
+        """
+        pixels.flags.writeable = False
+        image = object.__new__(cls)
+        object.__setattr__(image, "width", width)
+        object.__setattr__(image, "height", height)
+        object.__setattr__(image, "pixels", pixels)
+        return image
 
     @classmethod
     def from_array(cls, arr) -> "GrayImage":
@@ -335,8 +352,9 @@ def read_pgm(data: bytes) -> GrayImage:
         pos += 1
         if len(data) - pos < count:
             raise PgmLengthError(f"raster holds {len(data) - pos} bytes, expected {count}")
-        # a view into ``data``: GrayImage's frozen copy is the raster's only copy
         pixels = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
+        if not isinstance(data, bytes):  # a view into a buffer that may change: copy it
+            return GrayImage(width=width, height=height, pixels=pixels)
     else:
         # every sample takes a digit and all but the last a separator, so a
         # short payload is rejected before a header-sized allocation
@@ -347,10 +365,14 @@ def read_pgm(data: bytes) -> GrayImage:
             )
         pixels = _decode_p2_raster(data, pos, count, maxval)
 
-    return GrayImage(width=width, height=height, pixels=pixels)
+    return GrayImage._owning(width, height, pixels)
+
+
+def _p5_header(image: GrayImage) -> bytes:
+    """The header ``write_pgm`` puts before the raster."""
+    return f"P5\n{image.width} {image.height}\n{MAX_INTENSITY}\n".encode("ascii")
 
 
 def write_pgm(image: GrayImage) -> bytes:
     """Encode as binary P5 with the canonical ``P5\\n<w> <h>\\n255\\n`` header."""
-    header = f"P5\n{image.width} {image.height}\n{MAX_INTENSITY}\n".encode("ascii")
-    return b"".join((header, image.pixels))
+    return b"".join((_p5_header(image), image.pixels))

@@ -212,7 +212,7 @@ def segment(hist: Histogram, params: SegmentationParams) -> SegmentationResult:
 
 def apply_mapping(image: GrayImage, result: SegmentationResult) -> GrayImage:
     """Quantize every pixel through the result's lookup table."""
-    return GrayImage(image.width, image.height, _map_pixels(image.pixels, result.lut))
+    return GrayImage._owning(image.width, image.height, _map_pixels(image.pixels, result.lut))
 
 
 def segment_pixels(

@@ -237,6 +237,69 @@ class TestSegmentCommand:
         assert len(err) == 1 and err[0].startswith("error:") and "r.json" in err[0]
         assert not out.exists()
 
+    def test_unwritable_report_keeps_the_old_output(self, tmp_path, blob_pgm, capsys):
+        out = tmp_path / "q.pgm"
+        out.write_bytes(b"an earlier run's output")
+        code = main(
+            ["segment", "--input", str(blob_pgm), "--levels", "5", "--output", str(out),
+             "--report", str(tmp_path / "missing_dir" / "r.json")]
+        )
+        assert code == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(tmp_path / "missing_dir" / "r.json") in err[0]  # not its temporary
+        assert out.read_bytes() == b"an earlier run's output"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.pgm", "q.pgm"]
+
+    def test_files_are_replaced_whole(self, tmp_path, blob_pgm):
+        out, report, probe = tmp_path / "q.pgm", tmp_path / "r.json", tmp_path / "probe"
+        out.write_bytes(b"x" * 100_000)  # longer than the new output
+        report.write_text("stale", encoding="utf-8")
+        argv = ["segment", "--input", str(blob_pgm), "--levels", "5", "--output", str(out),
+                "--report", str(report)]
+        assert main(argv) == EXIT_OK
+        assert len(out.read_bytes()) == len(b"P5\n64 64\n255\n") + 64 * 64
+        assert RunReport.from_json(report.read_text(encoding="utf-8")).effective_n == 5
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.pgm", "q.pgm", "r.json"]
+        probe.touch()  # a file made the ordinary way: same permissions as the outputs
+        assert {p.stat().st_mode for p in (out, report)} == {probe.stat().st_mode}
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call leaks into the next."""
+
+    def test_kappa_schedule_does_not_outlive_its_call(self, tmp_path, blob_pgm):
+        schedules = []
+        for flags in (["--kappa-schedule", "0.9:1.1"], ["--kappa", "0.8"]):
+            report = tmp_path / "r.json"
+            assert main(
+                ["segment", "--input", str(blob_pgm), "--levels", "3", *flags,
+                 "--output", str(tmp_path / "q.pgm"), "--report", str(report)]
+            ) == EXIT_OK
+            schedules.append(json.loads(report.read_text())["params"]["kappa_schedule"])
+        assert schedules == [[[0.9, 1.1]], [[0.8, 0.8]]]
+
+    def test_rejected_arguments_leave_the_next_call_working(self, tmp_path, blob_pgm, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["segment", "--input", str(blob_pgm), "--levels", "3", "--kappa", "1",
+                  "--kappa-schedule", "1:1", "--output", str(tmp_path / "q.pgm")])
+        assert info.value.code == EXIT_USAGE
+        capsys.readouterr()
+        assert main(
+            ["segment", "--input", str(blob_pgm), "--levels", "3",
+             "--output", str(tmp_path / "q.pgm")]
+        ) == EXIT_OK
+        assert capsys.readouterr().out.startswith("thresholds:")
+
+    def test_replaced_command_runs(self, tmp_path, blob_pgm, monkeypatch):
+        argv = ["sweep", "--input", str(blob_pgm), "--max-levels", "5", "--epsilon", "0.3",
+                "--csv", str(tmp_path / "s.csv")]
+        assert main(argv) == EXIT_OK
+        seen = []
+        monkeypatch.setattr(cli_module, "cmd_sweep", lambda args: seen.append(args.csv) or 7)
+        assert main(argv) == 7
+        assert seen == [str(tmp_path / "s.csv")]
+
 
 class TestSweepCommand:
     def test_natural_image_sweep(self, tmp_path, blob_pgm, capsys):

@@ -160,6 +160,20 @@ class TestReadPgm:
                 tracemalloc.stop()
             assert peak < 1.5 * img.pixels.size, call.__name__
 
+    def test_binary_raster_from_bytes_is_not_copied(self):
+        """Immutable ``bytes`` cannot change, so the image is a view into them."""
+        raster = np.random.default_rng(3).integers(0, 256, 1 << 20, dtype=np.uint8)
+        data = b"P5\n1024 1024\n255\n" + raster.tobytes()
+        tracemalloc.start()
+        try:
+            img = read_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * raster.size
+        assert np.shares_memory(img.pixels, np.frombuffer(data, dtype=np.uint8))
+        assert np.array_equal(img.pixels, raster)
+
 
 class TestAsciiRaster:
     @settings(max_examples=500)
@@ -221,8 +235,8 @@ class TestAsciiRaster:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # besides the decoded raster and the image's private copy of it
-        assert peak - 2 * pixels.size < 2 << 20
+        # besides the decoded raster, which the image keeps without a copy
+        assert peak - pixels.size < 2 << 20
 
     @pytest.mark.parametrize("last", [b"1a", b"256", b"0012"])
     def test_one_odd_token_is_read_on_its_own(self, monkeypatch, last):
@@ -283,6 +297,24 @@ class TestGrayImage:
 
     def test_pixels_read_only(self):
         img = GrayImage(1, 2, [1, 2])
+        with pytest.raises(ValueError):
+            img.pixels[0] = 9
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: read_pgm(b"P5 2 1 255\n\x01\x02"),
+            lambda: read_pgm(bytearray(b"P5 2 1 255\n\x01\x02")),
+            lambda: read_pgm(b"P2 2 1 255\n1 2"),
+            lambda: GrayImage(2, 1, np.array([1, 2], dtype=np.uint8)),
+            lambda: GrayImage.from_array(np.array([[1, 2]], dtype=np.int64)),
+        ],
+        ids=["p5-bytes", "p5-bytearray", "p2", "uint8", "from-array"],
+    )
+    def test_pixels_read_only_on_every_path(self, build):
+        img = build()
+        assert list(img.pixels) == [1, 2]
+        assert not img.pixels.flags.writeable
         with pytest.raises(ValueError):
             img.pixels[0] = 9
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from functools import cached_property
 from types import SimpleNamespace
@@ -221,6 +222,22 @@ class TestApplyMapping:
     def test_output_alphabet_bounded(self, img, n):
         result, out = segment_image(img, SegmentationParams(n=n))
         assert len(set(out.pixels.tolist())) <= n + 1
+
+    def test_output_is_its_only_copy(self):
+        """The image keeps the mapped raster itself, which the fixed-size pair
+        table and block temporaries add well under a quarter to at 2048x2048."""
+        img = GrayImage(2048, 2048, np.random.default_rng(9).integers(0, 256, 1 << 22))
+        result = segment(compute_histogram(img), SegmentationParams(n=5))
+        tracemalloc.start()
+        try:
+            out = apply_mapping(img, result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * img.pixels.size
+        assert not out.pixels.flags.writeable
+        assert not np.shares_memory(out.pixels, img.pixels)
+        assert np.array_equal(out.pixels, result.lut[img.pixels])
 
 
 _CUTOFF = 4 * image_module._PAIR_BLOCK  # the pixels in two full blocks
