@@ -8,11 +8,12 @@ The two passes over the pixels, the histogram and the lookup-table mapping,
 read the raster as native uint16 byte pairs through 65536-entry tables, in
 blocks, at every size, which halves their per-pixel work and bounds their
 temporaries.
-Decoding a binary P5 raster from ``bytes`` copies nothing: the image's
-array is a frozen view into the data. From a ``bytearray``, which its owner
-may change, it copies the raster once. ``write_pgm`` copies it once, into the
-bytes it returns; writing the header and then the pixels to a file, as
-``segment`` does, copies nothing.
+A buffer from outside the package is copied once, into the dtype kept (uint8
+pixels, int64 bins); an array the package just made is frozen in place. A P5
+raster decoded from ``bytes``, which cannot change, is a frozen view into
+them; ``read_pgm`` copies any other buffer (``bytearray``, ``memoryview``,
+``mmap``) once. ``write_pgm`` copies the raster once; writing the header and
+then the pixels to a file, as ``segment`` does, copies nothing.
 """
 
 from __future__ import annotations
@@ -42,13 +43,6 @@ class PgmLengthError(PgmError):
     """Pixel payload shorter than width*height."""
 
 
-def _frozen_copy(arr: np.ndarray) -> np.ndarray:
-    """Contiguous private copy with the write flag cleared."""
-    out = arr.copy()
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class GrayImage:
     """Single-channel 8-bit raster, row-major with top-left origin."""
@@ -68,10 +62,11 @@ class GrayImage:
         if raw.dtype != np.uint8:
             if raw.dtype.kind not in "iu":
                 raise ValueError(f"intensities must be integers, got dtype {raw.dtype}")
-            if raw.size and (raw.min() < 0 or raw.max() > MAX_INTENSITY):
+            if raw.min() < 0 or raw.max() > MAX_INTENSITY:
                 raise ValueError("intensities must lie in [0, 255]")
-            raw = raw.astype(np.uint8)
-        object.__setattr__(self, "pixels", _frozen_copy(raw))
+        pixels = np.array(raw, dtype=np.uint8)
+        pixels.flags.writeable = False
+        object.__setattr__(self, "pixels", pixels)
 
     @classmethod
     def _owning(cls, width: int, height: int, pixels: np.ndarray) -> "GrayImage":
@@ -120,13 +115,14 @@ class Histogram:
     total: int = field(init=False)
 
     def __post_init__(self):
-        raw = np.asarray(self.bins, dtype=np.int64)
-        if raw.shape != (LEVELS,):
-            raise ValueError(f"histogram needs exactly {LEVELS} bins, got shape {raw.shape}")
-        if raw.size and raw.min() < 0:
+        bins = np.array(self.bins, dtype=np.int64)
+        if bins.shape != (LEVELS,):
+            raise ValueError(f"histogram needs exactly {LEVELS} bins, got shape {bins.shape}")
+        if bins.min() < 0:
             raise ValueError("histogram counts must be non-negative")
-        object.__setattr__(self, "bins", _frozen_copy(raw))
-        object.__setattr__(self, "total", int(raw.sum()))
+        bins.flags.writeable = False
+        object.__setattr__(self, "bins", bins)
+        object.__setattr__(self, "total", int(bins.sum()))
 
     @cached_property
     def moments(self) -> tuple[list[int], list[int], list[int]]:
@@ -326,13 +322,15 @@ def _decode_p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndar
     return pixels
 
 
-def read_pgm(data: bytes) -> GrayImage:
-    """Decode a PGM byte stream (binary P5 or ASCII P2, maxval 255).
+def read_pgm(data) -> GrayImage:
+    """Decode a PGM (binary P5 or ASCII P2, maxval 255) from any bytes-like object.
 
     Header tokens may be separated by any whitespace run; ``#`` comments
     run to end of line. Trailing bytes beyond width*height samples are
-    ignored.
+    ignored. A ``str`` or an ``int`` is no buffer and raises ``TypeError``.
     """
+    if not isinstance(data, bytes):
+        data = memoryview(data).tobytes()
     magic = data[:2]
     if magic not in (b"P5", b"P2"):
         raise PgmFormatError(f"not a supported PGM (magic {magic!r})")
@@ -353,8 +351,6 @@ def read_pgm(data: bytes) -> GrayImage:
         if len(data) - pos < count:
             raise PgmLengthError(f"raster holds {len(data) - pos} bytes, expected {count}")
         pixels = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
-        if not isinstance(data, bytes):  # a view into a buffer that may change: copy it
-            return GrayImage(width=width, height=height, pixels=pixels)
     else:
         # every sample takes a digit and all but the last a separator, so a
         # short payload is rejected before a header-sized allocation

@@ -143,6 +143,11 @@ class TestReadPgm:
         assert list(img.pixels) == list(range(6))
         assert not img.pixels.flags.writeable
 
+    @pytest.mark.parametrize("data", ["P5 1 1 255\n\x07", 5], ids=["str", "int"])
+    def test_non_buffer_raises_type_error(self, data):
+        with pytest.raises(TypeError):
+            read_pgm(data)
+
     @pytest.mark.parametrize("raster", [b"", bytes([1, 2, 3])])
     def test_short_binary_raster_names_its_length(self, raster):
         with pytest.raises(PgmLengthError, match=rf"^raster holds {len(raster)} bytes, expected 4$"):
@@ -305,11 +310,17 @@ class TestGrayImage:
         [
             lambda: read_pgm(b"P5 2 1 255\n\x01\x02"),
             lambda: read_pgm(bytearray(b"P5 2 1 255\n\x01\x02")),
+            lambda: read_pgm(memoryview(b"P5 2 1 255\n\x01\x02")),
             lambda: read_pgm(b"P2 2 1 255\n1 2"),
+            lambda: read_pgm(bytearray(b"P2 2 1 255\n1 2")),
+            lambda: read_pgm(memoryview(b"P2 2 1 255\n1 2")),
             lambda: GrayImage(2, 1, np.array([1, 2], dtype=np.uint8)),
             lambda: GrayImage.from_array(np.array([[1, 2]], dtype=np.int64)),
         ],
-        ids=["p5-bytes", "p5-bytearray", "p2", "uint8", "from-array"],
+        ids=[
+            "p5-bytes", "p5-bytearray", "p5-memoryview", "p2", "p2-bytearray", "p2-memoryview",
+            "uint8", "from-array",
+        ],
     )
     def test_pixels_read_only_on_every_path(self, build):
         img = build()
@@ -323,6 +334,18 @@ class TestGrayImage:
         img = GrayImage(2, 2, source)
         source[0] = 99  # caller's array stays writable and detached
         assert img.pixels[0] == 1
+
+    def test_int_array_is_copied_once(self):
+        """An int64 raster is narrowed straight into the image's own uint8 array."""
+        arr = np.random.default_rng(4).integers(0, 256, (1024, 1024))
+        tracemalloc.start()
+        try:
+            img = GrayImage.from_array(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * img.pixels.size
+        assert np.array_equal(img.as_array(), arr)
 
 
 class TestHistogram:
@@ -344,6 +367,23 @@ class TestHistogram:
         img = GrayImage(64, 64, rng.integers(0, 256, size=64 * 64, dtype=np.uint8))
         hist = compute_histogram(img)
         assert list(hist.bins) == pixel_tally(img.pixels)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            lambda: np.ones(256, dtype=np.int32),
+            lambda: np.ones(256, dtype=np.int64),
+            lambda: [1] * 256,
+        ],
+        ids=["int32", "int64", "list"],
+    )
+    def test_bins_are_a_read_only_int64_copy(self, source):
+        source = source()
+        hist = Histogram(source)
+        source[0] = 99  # the caller's bins stay writable and detached
+        assert hist.bins.dtype == np.int64
+        assert not hist.bins.flags.writeable
+        assert (hist.bins[0], hist.total) == (1, 256)
 
     def test_rejects_wrong_bin_count(self):
         with pytest.raises(ValueError):
