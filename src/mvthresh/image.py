@@ -14,6 +14,8 @@ raster decoded from ``bytes``, which cannot change, is a frozen view into
 them; ``read_pgm`` copies any other buffer (``bytearray``, ``memoryview``,
 ``mmap``) once. ``write_pgm`` copies the raster once; writing the header and
 then the pixels to a file, as ``segment`` does, copies nothing.
+An ASCII P2 raster is decoded by uint8 byte arithmetic in blocks of bounded
+size on any line layout.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class GrayImage:
         if self.width < 1 or self.height < 1:
             raise ValueError(f"image dimensions must be positive, got {self.width}x{self.height}")
         raw = np.asarray(self.pixels)
-        if raw.ndim != 1 or raw.size != self.width * self.height:
+        # a (height, width) array is narrowed before it is flattened, so a transpose copies once
+        if raw.shape not in ((self.width * self.height,), (self.height, self.width)):
             raise ValueError(
                 f"pixel buffer has {raw.size} samples, expected {self.width * self.height}"
             )
@@ -64,7 +67,7 @@ class GrayImage:
                 raise ValueError(f"intensities must be integers, got dtype {raw.dtype}")
             if raw.min() < 0 or raw.max() > MAX_INTENSITY:
                 raise ValueError("intensities must lie in [0, 255]")
-        pixels = np.array(raw, dtype=np.uint8)
+        pixels = np.array(raw, dtype=np.uint8, order="C").reshape(-1)
         pixels.flags.writeable = False
         object.__setattr__(self, "pixels", pixels)
 
@@ -88,7 +91,7 @@ class GrayImage:
         a = np.asarray(arr)
         if a.ndim != 2:
             raise ValueError(f"expected a 2-D array, got ndim={a.ndim}")
-        return cls(width=a.shape[1], height=a.shape[0], pixels=a.reshape(-1))
+        return cls(width=a.shape[1], height=a.shape[0], pixels=a)
 
     def as_array(self) -> np.ndarray:
         """Read-only (height, width) view of the raster."""
@@ -241,12 +244,6 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
         raise PgmFormatError(f"{what} field has {len(token)} digits") from None
 
 
-# byte classes of the ASCII raster grammar
-_SPACE, _DIGIT, _OTHER = 0, 1, 2
-_BYTE_KIND = np.full(256, _OTHER, dtype=np.uint8)
-_BYTE_KIND[list(_WHITESPACE)] = _SPACE
-_BYTE_KIND[ord("0") : ord("9") + 1] = _DIGIT
-_DIGIT_VALUE = np.arange(LEVELS) - ord("0")
 # ASCII raster bytes decoded at a time, which bounds the decoder's temporaries
 _P2_BLOCK = 1 << 15
 
@@ -269,24 +266,26 @@ def _p2_block_samples(data: bytes, start: int, stop: int, wanted: int, maxval: i
     valid one is kept.
     """
     body = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
-    kind = _BYTE_KIND[body]
+    digit = body - np.uint8(ord("0"))  # wraps, so below 10 exactly on digits
+    space = body - np.uint8(9) < 5  # tab, newline, vertical tab, form feed, return
+    space |= body == ord(" ")
     if data.find(b"#", start, stop) >= 0:
-        kind[_comment_mask(body)] = _SPACE
+        space |= _comment_mask(body)
     in_token = np.zeros(body.size + 2, dtype=bool)
-    in_token[1:-1] = kind != _SPACE
+    np.logical_not(space, out=in_token[1:-1])
     edges = np.flatnonzero(in_token[1:] != in_token[:-1])  # alternating token start, token end
     starts, ends = edges[0 : 2 * wanted : 2], edges[1 : 2 * wanted : 2]
     widths = ends - starts
-    values = _DIGIT_VALUE[body[ends - 1]]
-    for place, scale in ((2, 10), (3, 100)):
-        # clamped into the token: a shorter one must not index before the block
-        digits = _DIGIT_VALUE[body[np.maximum(ends - place, starts)]]
-        values += digits * scale * (widths >= place)
+    last = ends - 1
+    values = digit.take(last).astype(np.uint16)  # widened before scaling: uint8 * 100 wraps
+    for place, scale in ((1, 10), (2, 100)):
+        digits = digit.take(last - place, mode="clip").astype(np.uint16)  # masked if short
+        values += digits * scale * (widths > place)
     odd = (widths > 3) | (values > maxval)
-    # the gaps are all _SPACE, so a token's largest kind is the largest up to
-    # the next token; reduceat is slow, so it runs only for a non-digit byte
-    if ends.size and kind[: ends[-1]].max() == _OTHER:
-        odd |= np.maximum.reduceat(kind[: ends[-1]], starts) == _OTHER
+    # a token byte that is no digit; reduceat is slow, so it runs only if there is one
+    other = (digit >= 10) & in_token[1:-1]
+    if ends.size and other[: ends[-1]].any():
+        odd |= np.logical_or.reduceat(other[: ends[-1]], starts)
     for i in np.flatnonzero(odd).tolist():
         value, _ = _header_int(data, start + int(starts[i]), "sample")
         if value > maxval:
@@ -310,11 +309,18 @@ def _decode_p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndar
         if len(data) - start <= _P2_BLOCK:
             stop = len(data)
         else:  # cut after a newline, so that no token or comment spans two blocks
-            stop = (
-                data.rfind(b"\n", start, start + _P2_BLOCK) + 1
-                or data.find(b"\n", start + _P2_BLOCK) + 1
-                or len(data)
-            )
+            end = start + _P2_BLOCK
+            stop = data.rfind(b"\n", start, end) + 1
+            if not stop:
+                # or after the last whitespace byte before the window's first
+                # "#": with no newline in the window, that comment runs past it
+                hash_at = data.find(b"#", start, end)
+                limit = end if hash_at < 0 else hash_at
+                stop = (
+                    max(data.rfind(c, start, limit) for c in _WHITESPACE) + 1
+                    or data.find(b"\n", end) + 1
+                    or len(data)
+                )
         values = _p2_block_samples(data, start, stop, count - done, maxval)
         pixels[done : done + values.size] = values
         done += values.size

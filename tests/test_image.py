@@ -243,6 +243,42 @@ class TestAsciiRaster:
         # besides the decoded raster, which the image keeps without a copy
         assert peak - pixels.size < 2 << 20
 
+    def test_temporaries_do_not_grow_on_one_line(self):
+        """A raster with no newline is cut at whitespace, so a 1 MB line needs under 2 MiB too."""
+        rng = np.random.default_rng(6)
+        pixels = rng.integers(0, 256, size=512 * 512, dtype=np.uint8)
+        seps = np.array([" ", "  ", "\t", "\r", " \t"])[rng.integers(0, 5, size=pixels.size)]
+        body = "".join(f"{v}{s}" for v, s in zip(pixels.tolist(), seps.tolist()))
+        data = ("P2 512 512 255 " + body).encode("ascii")
+        assert b"\n" not in data
+        tracemalloc.start()
+        try:
+            img = read_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - pixels.size < 2 << 20
+        assert np.array_equal(img.pixels, pixels)
+
+    @pytest.mark.parametrize("bad", [None, b"256", b"300", b"999", b"0256", b"1a", b"a1"])
+    @pytest.mark.parametrize("block", [image_module._P2_BLOCK, 3])
+    def test_every_sample_spelling(self, block, bad):
+        """Every value in every zero-padded spelling up to four characters, then one bad token."""
+        tokens = [b"%0*d" % (width, v) for v in range(256) for width in range(len(str(v)), 5)]
+        tokens += [bad] if bad else []
+        # a newline after every seventh token, so that blocks are cut at both
+        raster = b"".join(t + (b"\n" if i % 7 == 6 else b" ") for i, t in enumerate(tokens))
+        header = b"P2 %d 1 255\n" % len(tokens)
+        with mock.patch.object(image_module, "_P2_BLOCK", block):
+            try:
+                want = reference_p2_raster(raster, len(tokens), 255)
+            except PgmError as exc:
+                with pytest.raises(PgmError) as info:
+                    read_pgm(header + raster)
+                assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+            else:
+                assert list(read_pgm(header + raster).pixels) == want
+
     @pytest.mark.parametrize("last", [b"1a", b"256", b"0012"])
     def test_one_odd_token_is_read_on_its_own(self, monkeypatch, last):
         """An odd last sample of a many-block file costs one token read, not one per sample."""
@@ -338,6 +374,19 @@ class TestGrayImage:
     def test_int_array_is_copied_once(self):
         """An int64 raster is narrowed straight into the image's own uint8 array."""
         arr = np.random.default_rng(4).integers(0, 256, (1024, 1024))
+        tracemalloc.start()
+        try:
+            img = GrayImage.from_array(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * img.pixels.size
+        assert np.array_equal(img.as_array(), arr)
+
+    @pytest.mark.parametrize("view", [lambda a: a.T, lambda a: a[:, :512]], ids=["T", "crop"])
+    def test_strided_int_array_is_copied_once(self, view):
+        """A transpose or a crop is narrowed before it is flattened, not copied wide first."""
+        arr = view(np.random.default_rng(4).integers(0, 256, (1024, 1024)))
         tracemalloc.start()
         try:
             img = GrayImage.from_array(arr)
