@@ -146,6 +146,8 @@ def _print_thresholds(thresholds) -> None:
 
 def cmd_segment(args) -> int:
     params = _segmentation_params(args)
+    if args.report and os.path.realpath(args.report) == os.path.realpath(args.output):
+        raise ValueError(f"--report {args.report} would overwrite --output {args.output}")
     image = _load_image(args.input)
     (hist, result, quantized), elapsed = timed(segment_pixels, image, params)
     err = histogram_mse(hist, result.lut)

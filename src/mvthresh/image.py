@@ -14,12 +14,14 @@ raster decoded from ``bytes``, which cannot change, is a frozen view into
 them; ``read_pgm`` copies any other buffer (``bytearray``, ``memoryview``,
 ``mmap``) once. ``write_pgm`` copies the raster once; writing the header and
 then the pixels to a file, as ``segment`` does, copies nothing.
-An ASCII P2 raster is decoded by uint8 byte arithmetic in blocks of bounded
-size on any line layout.
+An ASCII P2 raster is decoded by uint8 byte arithmetic in fixed 32 KiB windows,
+each widened to the end of the token it splits; a ``#`` comment, which ends at
+the next ``\\n`` or ``\\r`` as in netpbm, may span two.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -118,7 +120,10 @@ class Histogram:
     total: int = field(init=False)
 
     def __post_init__(self):
-        bins = np.array(self.bins, dtype=np.int64)
+        raw = np.asarray(self.bins)
+        if raw.dtype.kind not in "iu":
+            raise ValueError(f"histogram counts must be integers, got dtype {raw.dtype}")
+        bins = np.array(raw, dtype=np.int64)
         if bins.shape != (LEVELS,):
             raise ValueError(f"histogram needs exactly {LEVELS} bins, got shape {bins.shape}")
         if bins.min() < 0:
@@ -211,27 +216,21 @@ def _map_pixels(pixels: np.ndarray, lut: np.ndarray) -> np.ndarray:
 
 # --- PGM codec ------------------------------------------------------------
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# PGM text syntax: tokens between whitespace runs and "#" comments, which end at \n or \r
+_SPACE_RUN = re.compile(rb"[ \t\n\r\x0b\x0c]*")
+_TOKEN_RUN = re.compile(rb"[^ \t\n\r\x0b\x0c#]*")
+_COMMENT = re.compile(rb"#[^\n\r]*")
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     """Token after whitespace/comment runs; returns (token, index past it)."""
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":
-            eol = data.find(b"\n", pos)
-            pos = n if eol < 0 else eol + 1
-        elif c in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    if pos >= n:
+    pos = _SPACE_RUN.match(data, pos).end()
+    while comment := _COMMENT.match(data, pos):
+        pos = _SPACE_RUN.match(data, comment.end()).end()
+    if pos >= len(data):
         raise PgmFormatError("unexpected end of header")
-    start = pos
-    while pos < n and data[pos : pos + 1] not in _WHITESPACE and data[pos : pos + 1] != b"#":
-        pos += 1
-    return data[start:pos], pos
+    end = _TOKEN_RUN.match(data, pos).end()
+    return data[pos:end], end
 
 
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
@@ -248,16 +247,26 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
 _P2_BLOCK = 1 << 15
 
 
-def _comment_mask(body: np.ndarray) -> np.ndarray:
-    """True on bytes of ``#`` comments: from a line's first ``#`` up to its ``\n``."""
-    hashes = np.cumsum(body == ord("#"))
-    # hashes seen up to the last newline at or before each byte
-    line_start = np.maximum.accumulate(np.where(body == ord("\n"), hashes, 0))
+def _comment_mask(data: bytes, start: int, stop: int, in_comment: bool):
+    """True on bytes of ``data[start:stop]`` in comments, None if there are none.
+
+    A comment runs from a ``#``, or from ``start`` if ``in_comment``, up to a ``\\n`` or ``\\r``.
+    """
+    if not in_comment and data.find(b"#", start, stop) < 0:
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+    hashes = np.cumsum(body == ord("#")) + in_comment
+    line_ends = (body == ord("\n")) | (body == ord("\r"))
+    # hashes seen up to the last line end at or before each byte
+    line_start = np.maximum.accumulate(np.where(line_ends, hashes, 0))
     return hashes > line_start
 
 
-def _p2_block_samples(data: bytes, start: int, stop: int, wanted: int, maxval: int) -> np.ndarray:
-    """Values of the first ``wanted`` tokens in ``data[start:stop]``.
+def _p2_block_samples(
+    data: bytes, start: int, stop: int, wanted: int, maxval: int, in_comment: bool
+) -> tuple[np.ndarray, bool]:
+    """Values of the first ``wanted`` tokens in ``data[start:stop]``, and whether a comment
+    is open at ``stop``; ``in_comment`` says whether one is open at ``start``.
 
     Tokens of one to three digits are decoded with array operations. An odd
     token, one that is longer, holds a non-digit byte or exceeds ``maxval``,
@@ -269,8 +278,9 @@ def _p2_block_samples(data: bytes, start: int, stop: int, wanted: int, maxval: i
     digit = body - np.uint8(ord("0"))  # wraps, so below 10 exactly on digits
     space = body - np.uint8(9) < 5  # tab, newline, vertical tab, form feed, return
     space |= body == ord(" ")
-    if data.find(b"#", start, stop) >= 0:
-        space |= _comment_mask(body)
+    comment = _comment_mask(data, start, stop, in_comment)
+    if comment is not None:
+        space |= comment
     in_token = np.zeros(body.size + 2, dtype=bool)
     np.logical_not(space, out=in_token[1:-1])
     edges = np.flatnonzero(in_token[1:] != in_token[:-1])  # alternating token start, token end
@@ -291,7 +301,7 @@ def _p2_block_samples(data: bytes, start: int, stop: int, wanted: int, maxval: i
         if value > maxval:
             raise PgmFormatError(f"sample {value} exceeds maxval {maxval}")
         values[i] = value
-    return values
+    return values, comment is not None and bool(comment[-1])
 
 
 def _decode_p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
@@ -302,26 +312,13 @@ def _decode_p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndar
     before ``count`` samples.
     """
     pixels = np.empty(count, dtype=np.uint8)
-    done, start = 0, pos
+    done, start, in_comment = 0, pos, False
     while done < count:
         if start == len(data):
             raise PgmLengthError(f"raster holds {done} samples, expected {count}")
-        if len(data) - start <= _P2_BLOCK:
-            stop = len(data)
-        else:  # cut after a newline, so that no token or comment spans two blocks
-            end = start + _P2_BLOCK
-            stop = data.rfind(b"\n", start, end) + 1
-            if not stop:
-                # or after the last whitespace byte before the window's first
-                # "#": with no newline in the window, that comment runs past it
-                hash_at = data.find(b"#", start, end)
-                limit = end if hash_at < 0 else hash_at
-                stop = (
-                    max(data.rfind(c, start, limit) for c in _WHITESPACE) + 1
-                    or data.find(b"\n", end) + 1
-                    or len(data)
-                )
-        values = _p2_block_samples(data, start, stop, count - done, maxval)
+        # a window widened to the end of the token it splits; a comment may span two
+        stop = _TOKEN_RUN.match(data, min(start + _P2_BLOCK, len(data))).end()
+        values, in_comment = _p2_block_samples(data, start, stop, count - done, maxval, in_comment)
         pixels[done : done + values.size] = values
         done += values.size
         start = stop
@@ -332,8 +329,8 @@ def read_pgm(data) -> GrayImage:
     """Decode a PGM (binary P5 or ASCII P2, maxval 255) from any bytes-like object.
 
     Header tokens may be separated by any whitespace run; ``#`` comments
-    run to end of line. Trailing bytes beyond width*height samples are
-    ignored. A ``str`` or an ``int`` is no buffer and raises ``TypeError``.
+    end at the next ``\\n`` or ``\\r``. Trailing bytes beyond width*height
+    samples are ignored. A ``str`` or an ``int`` is no buffer and raises ``TypeError``.
     """
     if not isinstance(data, bytes):
         data = memoryview(data).tobytes()
@@ -351,7 +348,7 @@ def read_pgm(data) -> GrayImage:
 
     if magic == b"P5":
         # exactly one whitespace byte separates maxval from the raster
-        if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
+        if _SPACE_RUN.match(data, pos, pos + 1).end() == pos:
             raise PgmFormatError("missing separator before binary raster")
         pos += 1
         if len(data) - pos < count:

@@ -290,8 +290,8 @@ def reference_p2_raster(raster, count, maxval):
     i = 0
     while len(samples) < count:
         while i < len(raster) and (raster[i] in _PGM_SPACE or raster[i] == ord("#")):
-            if raster[i] == ord("#"):  # a comment runs through the next newline
-                while i < len(raster) and raster[i] != ord("\n"):
+            if raster[i] == ord("#"):  # a comment runs through the next newline or return
+                while i < len(raster) and raster[i] not in b"\n\r":
                     i += 1
             i += 1
         if i >= len(raster):

@@ -251,6 +251,23 @@ class TestSegmentCommand:
         assert out.read_bytes() == b"an earlier run's output"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.pgm", "q.pgm"]
 
+    @pytest.mark.parametrize("report", ["q.pgm", "sub/../q.pgm"])
+    def test_report_on_the_output_file_rejected(
+        self, tmp_path, blob_pgm, capsys, monkeypatch, report
+    ):
+        """One file cannot hold both, so the run stops before it reads its input."""
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli_module, "_load_image", lambda path: pytest.fail("input read"))
+        code = main(
+            ["segment", "--input", str(blob_pgm), "--levels", "5", "--output", "q.pgm",
+             "--report", report]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "q.pgm").exists()
+
     def test_files_are_replaced_whole(self, tmp_path, blob_pgm):
         out, report, probe = tmp_path / "q.pgm", tmp_path / "r.json", tmp_path / "probe"
         out.write_bytes(b"x" * 100_000)  # longer than the new output

@@ -22,7 +22,7 @@ from mvthresh.image import (
 from conftest import gray_images, histograms, pgm_bytes
 from oracles import moments, pixel_tally, reference_p2_raster
 
-_P2_SEPARATORS = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n", b"#c\n", b"#"]
+_P2_SEPARATORS = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n", b"#c\n", b"#c\r", b"#"]
 _P2_ODD_FIELDS = [
     b"0", b"255", b"256", b"300", b"007", b"0000000012", b"0000", b"00000000256",
     b"x", b"1a", b"-1", b"\xff",
@@ -81,6 +81,12 @@ class TestReadPgm:
         img = read_pgm(data)
         assert (img.width, img.height) == (2, 1)
         assert list(img.pixels) == [9, 200]
+
+    @pytest.mark.parametrize(
+        "data", [b"P2\r# c\r2 1\r255\r1 2\r", b"P2 2 1 255\r# c\r1 2\r"], ids=["header", "raster"]
+    )
+    def test_comment_ends_at_carriage_return(self, data):
+        assert list(read_pgm(data).pixels) == [1, 2]
 
     def test_payload_length_matches_header(self):
         # 512x512 header must come with exactly width*height raster bytes
@@ -244,21 +250,25 @@ class TestAsciiRaster:
         assert peak - pixels.size < 2 << 20
 
     def test_temporaries_do_not_grow_on_one_line(self):
-        """A raster with no newline is cut at whitespace, so a 1 MB line needs under 2 MiB too."""
+        """A raster with no newline is cut in fixed windows, so a 1 MB line needs under 2 MiB too.
+
+        So does one with ``\r`` line ends and comments, which end at ``\r``.
+        """
         rng = np.random.default_rng(6)
         pixels = rng.integers(0, 256, size=512 * 512, dtype=np.uint8)
-        seps = np.array([" ", "  ", "\t", "\r", " \t"])[rng.integers(0, 5, size=pixels.size)]
-        body = "".join(f"{v}{s}" for v, s in zip(pixels.tolist(), seps.tolist()))
-        data = ("P2 512 512 255 " + body).encode("ascii")
-        assert b"\n" not in data
-        tracemalloc.start()
-        try:
-            img = read_pgm(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - pixels.size < 2 << 20
-        assert np.array_equal(img.pixels, pixels)
+        for choices in ([" ", "  ", "\t", "\r", " \t"], [" ", "\t", "\r", "# c\r", " \t"]):
+            seps = np.array(choices)[rng.integers(0, 5, size=pixels.size)]
+            body = "".join(f"{v}{s}" for v, s in zip(pixels.tolist(), seps.tolist()))
+            data = ("P2 512 512 255 " + body).encode("ascii")
+            assert b"\n" not in data
+            tracemalloc.start()
+            try:
+                img = read_pgm(data)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - pixels.size < 2 << 20, choices
+            assert np.array_equal(img.pixels, pixels), choices
 
     @pytest.mark.parametrize("bad", [None, b"256", b"300", b"999", b"0256", b"1a", b"a1"])
     @pytest.mark.parametrize("block", [image_module._P2_BLOCK, 3])
@@ -437,6 +447,13 @@ class TestHistogram:
     def test_rejects_wrong_bin_count(self):
         with pytest.raises(ValueError):
             Histogram(np.zeros(255, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "bins", [np.full(256, 1.7), np.ones(256, dtype=bool)], ids=["float", "bool"]
+    )
+    def test_rejects_non_integer_bins(self, bins):
+        with pytest.raises(ValueError, match="must be integers"):
+            Histogram(bins)
 
     def test_rejects_negative_counts(self):
         bins = np.zeros(256, dtype=np.int64)
