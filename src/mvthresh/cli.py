@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -200,7 +201,7 @@ def cmd_otsu(args) -> int:
             "criterion": result.criterion,
             "elapsed_ms": elapsed,
         }
-        Path(args.report).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+        _replace_files({args.report: (json.dumps(payload, indent=2).encode("utf-8"),)})
     _print_thresholds(result.thresholds)
     print(f"criterion: {result.criterion:.4f}")
     print(f"elapsed_ms: {elapsed:.3f}")
@@ -253,10 +254,11 @@ def cmd_bench(args) -> int:
                     "psnr_db": format_db(value, 4),
                 }
             )
-    with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["image", "n", "thresholds", "elapsed_ms", "psnr_db"])
-        writer.writeheader()
-        writer.writerows(rows)
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=["image", "n", "thresholds", "elapsed_ms", "psnr_db"])
+    writer.writeheader()
+    writer.writerows(rows)
+    _replace_files({args.csv: (text.getvalue().encode("utf-8"),)})
     for row in rows:
         print(f"{row['image']} n={row['n']} {row['elapsed_ms']} ms psnr={row['psnr_db']}")
     return EXIT_OK

@@ -9,7 +9,8 @@ read the raster as native uint16 byte pairs through 65536-entry tables, in
 blocks, at every size, which halves their per-pixel work and bounds their
 temporaries.
 A buffer from outside the package is copied once, into the dtype kept (uint8
-pixels, int64 bins); an array the package just made is frozen in place. A P5
+pixels, int64 bins); an array the package just made, a decoded or mapped
+raster or the bins ``compute_histogram`` counted, is frozen in place. A P5
 raster decoded from ``bytes``, which cannot change, is a frozen view into
 them; ``read_pgm`` copies any other buffer (``bytearray``, ``memoryview``,
 ``mmap``) once. ``write_pgm`` copies the raster once; writing the header and
@@ -112,6 +113,10 @@ class GrayImage:
         return hash((self.width, self.height, self.pixels.tobytes()))
 
 
+# v^0, v^1 and v^2 for every intensity v: the weights of the three moments
+_POWERS = np.arange(LEVELS, dtype=np.int64) ** np.arange(3, dtype=np.int64)[:, None]
+
+
 @dataclass(frozen=True, eq=False)
 class Histogram:
     """256-bin intensity counts; ``total`` is the source pixel count."""
@@ -132,6 +137,19 @@ class Histogram:
         object.__setattr__(self, "bins", bins)
         object.__setattr__(self, "total", int(bins.sum()))
 
+    @classmethod
+    def _owning(cls, bins: np.ndarray, total: int) -> "Histogram":
+        """Histogram over non-negative int64 ``bins`` that sum to ``total`` and no caller holds.
+
+        The array is frozen in place instead of checked and copied; the
+        package calls this only on bins it has just counted.
+        """
+        bins.flags.writeable = False
+        hist = object.__new__(cls)
+        object.__setattr__(hist, "bins", bins)
+        object.__setattr__(hist, "total", total)
+        return hist
+
     @cached_property
     def moments(self) -> tuple[list[int], list[int], list[int]]:
         """Cumulative count, intensity sum and squared-intensity sum.
@@ -140,13 +158,9 @@ class Histogram:
         the moments of [lo, hi] are entry hi+1 minus entry lo. Built on
         first use and shared by every later query on this histogram.
         """
-        values = np.arange(LEVELS, dtype=np.int64)
-        columns = []
-        for weight in (1, values, values * values):
-            column = np.zeros(LEVELS + 1, dtype=np.int64)
-            np.cumsum(self.bins * weight, out=column[1:])
-            columns.append(column.tolist())
-        return tuple(columns)
+        table = np.zeros((3, LEVELS + 1), dtype=np.int64)
+        np.cumsum(self.bins * _POWERS, axis=1, out=table[:, 1:])
+        return tuple(table.tolist())
 
     def __eq__(self, other):
         if not isinstance(other, Histogram):
@@ -183,12 +197,13 @@ def compute_histogram(image: GrayImage) -> Histogram:
     for block in blocks:
         table += np.bincount(block, minlength=LEVELS * LEVELS)
     # a pair holds one pixel in its high byte and one in its low byte, so
-    # the row and column sums count every paired pixel in either byte order
+    # the row and column sums count every paired pixel in either byte order;
+    # they are summed into int64 because bincount counts in intp, 32 bits on some platforms
     table = table.reshape(LEVELS, LEVELS)
-    bins = table.sum(0) + table.sum(1)
+    bins = table.sum(0, dtype=np.int64) + table.sum(1, dtype=np.int64)
     if pixels.size % 2:
         bins[pixels[-1]] += 1
-    return Histogram(bins)
+    return Histogram._owning(bins, pixels.size)
 
 
 def _pair_table(lut: np.ndarray) -> np.ndarray:
@@ -233,10 +248,16 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[pos:end], end
 
 
+# bytes of a bad token that its error message quotes: a longer one is cut,
+# so that any input's message stays one short line
+_ECHO = 32
+
+
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
     if not token.isdigit():
-        raise PgmFormatError(f"bad {what} field: {token!r}")
+        shown = repr(token) if len(token) <= _ECHO else f"{token[:_ECHO]!r}... ({len(token)} bytes)"
+        raise PgmFormatError(f"bad {what} field: {shown}")
     try:
         return int(token), pos
     except ValueError:  # Python >= 3.11 caps int() at 4300 digits

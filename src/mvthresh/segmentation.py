@@ -21,13 +21,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .image import LEVELS, MAX_INTENSITY, GrayImage, Histogram, _map_pixels, compute_histogram
-from .quality import histogram_mse, psnr_from_mse
+from .quality import psnr_from_mse
 from .stats import (
     RangeStats,
     SubRange,
     midpoint,
     range_stats,
     round_half_up,
+    squared_error,
     weighted_mean,
 )
 
@@ -180,19 +181,22 @@ def _passes(hist: Histogram, params: SegmentationParams):
         yield r, lower, upper
 
 
-def _result(hist: Histogram, r: SubRange, lower, upper, mode: Replacement) -> SegmentationResult:
-    """Split the residual at its rounded mean; join the frozen classes around it."""
+def _middle(hist: Histogram, r: SubRange, mode: Replacement):
+    """Split the residual at its rounded mean: (split, the one or two middle classes)."""
     split = _class_value(hist, r, Replacement.WEIGHTED_MEAN)
     counts = hist.moments[0]
-    upper_empty = split >= r.hi or counts[r.hi + 1] == counts[split + 1]
-    if upper_empty:
+    if split >= r.hi or counts[r.hi + 1] == counts[split + 1]:
         # nothing above the mean: keep the residual range as one class so
         # every level it covers maps to the same value the pixels map to
-        middle = ((r, _class_value(hist, r, mode)),)
-    else:
-        low = SubRange(r.lo, split)
-        high = SubRange(split + 1, r.hi)
-        middle = ((low, _class_value(hist, low, mode)), (high, _class_value(hist, high, mode)))
+        return split, ((r, _class_value(hist, r, mode)),)
+    low = SubRange(r.lo, split)
+    high = SubRange(split + 1, r.hi)
+    return split, ((low, _class_value(hist, low, mode)), (high, _class_value(hist, high, mode)))
+
+
+def _result(hist: Histogram, r: SubRange, lower, upper, mode: Replacement) -> SegmentationResult:
+    """Split the residual at its rounded mean; join the frozen classes around it."""
+    split, middle = _middle(hist, r, mode)
     thresholds = tuple(iv.hi for iv, _ in lower) + (split,) + tuple(iv.lo for iv, _ in upper)
     return SegmentationResult(thresholds=thresholds, classes=lower + middle + upper)
 
@@ -241,15 +245,21 @@ class SweepPoint:
     """One evaluated threshold count in a PSNR sweep.
 
     ``psnr_db`` equals ``psnr(image, quantized)`` for the quantized raster
-    of this n, though the sweep never builds that raster. ``elapsed_ms``
-    times what this n adds: one pass (none after an early stop), the middle
-    split and the MSE/PSNR from the histogram. The earlier passes and the
-    one histogram pass the whole sweep shares are not in it.
+    of this n, though the sweep never builds that raster, its lookup table
+    or its ``SegmentationResult``. ``elapsed_ms`` times what this n adds:
+    one pass (none after an early stop), the middle split and a constant
+    number of exact integer sums from the moment table. The earlier passes,
+    the moment table and the one histogram pass the whole sweep shares are
+    not in it.
     """
 
     n: int
     psnr_db: float
     elapsed_ms: float
+
+
+def _class_error(hist: Histogram, classes) -> int:
+    return sum(squared_error(hist, interval, value) for interval, value in classes)
 
 
 def auto_select_n(
@@ -267,8 +277,13 @@ def auto_select_n(
 
     The pixels are read once, for the histogram, and each pass runs once:
     n adds one pass to those of n-2 (after an early stop, none: the same
-    PSNR again ends the sweep), its middle split and its exact PSNR from
-    the histogram-domain MSE, so no quantized raster is ever built.
+    PSNR again ends the sweep). The squared error of the classes the passes
+    froze is kept as a running integer, to which each n adds the two
+    classes its pass freezes and then its middle classes, each from the
+    moment table in O(1). One division by the pixel count gives the MSE:
+    the integer numerator and count that ``histogram_mse`` and ``mse``
+    divide, so every PSNR is bit-identical to theirs without a lookup table
+    or a quantized raster.
     """
     if not math.isfinite(epsilon) or epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -276,12 +291,17 @@ def auto_select_n(
     hist = compute_histogram(image)
     _ = hist.moments  # shared by every row, so built before the first is timed
     passes = _passes(hist, widest)
-    state = next(passes)
+    r, _, _ = next(passes)
+    frozen = 0
     sweep: list[SweepPoint] = []
     for n in range(3, n_max + 1, 2):
         start = time.perf_counter()
-        state = next(passes, state)
-        value = psnr_from_mse(histogram_mse(hist, _result(hist, *state, base.replacement).lut))
+        state = next(passes, None)
+        if state is not None:
+            r, lower, upper = state
+            frozen += _class_error(hist, (lower[-1], upper[0]))
+        _, middle = _middle(hist, r, base.replacement)
+        value = psnr_from_mse((frozen + _class_error(hist, middle)) / hist.total)
         elapsed = (time.perf_counter() - start) * 1000.0
         sweep.append(SweepPoint(n=n, psnr_db=value, elapsed_ms=elapsed))
         if math.isinf(value):

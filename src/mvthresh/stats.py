@@ -71,6 +71,16 @@ def weighted_mean(hist: Histogram, r: SubRange) -> int | None:
     return (2 * s1 + s0) // (2 * s0)
 
 
+def squared_error(hist: Histogram, r: SubRange, value: int) -> int:
+    """Exact squared error of replacing every pixel in ``r`` by ``value``.
+
+    The sum over ``r`` of bins[v] * (v - value)^2, expanded into the
+    moments as s2 - value * (2*s1 - value*s0).
+    """
+    s0, s1, s2 = _moments(hist, r)
+    return s2 - value * (2 * s1 - value * s0)
+
+
 def midpoint(r: SubRange) -> int:
     """Middle intensity of the sub-range, floor((lo+hi)/2)."""
     return (r.lo + r.hi) // 2

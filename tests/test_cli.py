@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -406,6 +407,48 @@ class TestOtsuCommand:
         assert main(["otsu", "--input", str(path), "--classes", classes]) == EXIT_USAGE
 
 
+class _FullDisk:
+    """A file that takes a few bytes of a write and then reports a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(bytes(data)[:8])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [
+        (["otsu", "--classes", "2", "--report"], ["otsu", "--classes", "3", "--report"]),
+        (["bench", "--levels", "3", "--csv"], ["bench", "--levels", "3,5", "--csv"]),
+    ],
+    ids=["otsu-report", "bench-csv"],
+)
+def test_failed_write_keeps_the_old_file(tmp_path, blob_pgm, capsys, monkeypatch, first, second):
+    target = tmp_path / "old"
+    assert main([*first, str(target), "--input", str(blob_pgm)]) == EXIT_OK
+    before = target.read_bytes()
+    capsys.readouterr()
+    monkeypatch.setattr(cli_module, "open", lambda *a, **k: _FullDisk(open(*a, **k)), raising=False)
+    assert main([*second, str(target), "--input", str(blob_pgm)]) == EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(target) in err[0]
+    assert target.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.pgm", "old"]
+
+
 class TestBenchCommand:
     def test_corpus_rows(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -422,6 +465,13 @@ class TestBenchCommand:
         assert [r["image"] for r in rows] == sorted(r["image"] for r in rows)
         assert [int(r["n"]) for r in rows[:4]] == [3, 5, 7, 9]
         assert all(float(r["elapsed_ms"]) >= 0 for r in rows)
+        # the bytes csv writes to a file opened with newline="": CRLF rows, UTF-8
+        with open(tmp_path / "rewritten.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        assert out_csv.read_bytes() == (tmp_path / "rewritten.csv").read_bytes()
+        assert out_csv.read_bytes().startswith(b"image,n,thresholds,elapsed_ms,psnr_db\r\n")
 
     def test_empty_corpus_rejected(self, tmp_path):
         corpus = tmp_path / "empty"
@@ -561,6 +611,22 @@ def test_bench_aborts_on_corrupt_file(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"P5\n" + b"w" * 3000 + b" 1\n255\n\x00", b"P2 1 1 255\n" + b"a" * 4_000_000],
+    ids=["width", "sample"],
+)
+def test_long_bad_token_is_one_short_error_line(tmp_path, capsys, data):
+    bad = tmp_path / "long.pgm"
+    bad.write_bytes(data)
+    code = main(
+        ["segment", "--input", str(bad), "--levels", "3", "--output", str(tmp_path / "x.pgm")]
+    )
+    assert code == EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad ") and len(err[0]) <= 200
 
 
 def test_long_digit_header_field_is_io_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import ast
 import tracemalloc
 from unittest import mock
 
@@ -53,6 +54,21 @@ def p2_files(draw):
     # the separator after maxval ends the header's last token
     raster = draw(st.sampled_from(_P2_SEPARATORS)) + b"".join(f + g for f, g in pieces)
     return b"P2 %d %d 255" % (width, height), raster, count
+
+
+def quoted_as_read(message):
+    """The reference decoder's ``message`` as ``read_pgm`` words it.
+
+    The reference quotes a bad field in full; ``read_pgm`` quotes the first
+    32 bytes of a longer one and its length. Fields glued from several odd
+    fields by empty gaps reach that length.
+    """
+    prefix = "bad sample field: "
+    if message.startswith(prefix):
+        field = ast.literal_eval(message[len(prefix) :])
+        if len(field) > 32:
+            return f"{prefix}{field[:32]!r}... ({len(field)} bytes)"
+    return message
 
 
 def p2_noisy_file(side, rng):
@@ -193,6 +209,7 @@ class TestAsciiRaster:
     @example((b"P2 2 1 255", b"#c\n1#c\n2 x", 2))
     @example((b"P2 2 2 255", b"\n1 2 x 300", 4))
     @example((b"P2 2 2 255", b"\n1\t#c\n\n\n\n\n2", 4))
+    @example((b"P2 1 1 255", b" 00000000120000000025600000000256x", 1))
     @pytest.mark.parametrize("block", [image_module._P2_BLOCK, 3])
     def test_matches_reference_decoder(self, block, case):
         # a 3-byte block size splits the raster at nearly every newline
@@ -203,7 +220,7 @@ class TestAsciiRaster:
             except PgmError as exc:
                 with pytest.raises(PgmError) as info:
                     read_pgm(header + raster)
-                assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+                assert (type(info.value), str(info.value)) == (type(exc), quoted_as_read(str(exc)))
             else:
                 assert list(read_pgm(header + raster).pixels) == want
 
@@ -444,6 +461,26 @@ class TestHistogram:
         assert not hist.bins.flags.writeable
         assert (hist.bins[0], hist.total) == (1, 256)
 
+    @pytest.mark.parametrize("width,height", [(1, 1), (3, 5), (1025, 3)])
+    def test_counted_bins_are_frozen_in_place(self, monkeypatch, width, height):
+        """One pixel, an odd count, and an odd count over two pair blocks."""
+        img = GrayImage(width, height, np.random.default_rng(width).integers(0, 256, width * height))
+        monkeypatch.setattr(Histogram, "__post_init__", lambda self: pytest.fail("bins re-checked"))
+        hist = compute_histogram(img)
+        assert hist.bins.dtype == np.int64
+        assert not hist.bins.flags.writeable
+        assert type(hist.total) is int and hist.total == width * height
+        assert list(hist.bins) == pixel_tally(img.pixels)
+
+    def test_counted_bins_are_int64_where_bincount_counts_in_int32(self, monkeypatch):
+        """``np.bincount`` counts in intp, which is 32 bits on some platforms."""
+        real = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: real(*a, **k).astype(np.int32))
+        img = GrayImage(5, 5, np.arange(25))
+        hist = compute_histogram(img)
+        assert hist.bins.dtype == np.int64
+        assert list(hist.bins) == pixel_tally(img.pixels)
+
     def test_rejects_wrong_bin_count(self):
         with pytest.raises(ValueError):
             Histogram(np.zeros(255, dtype=np.int64))
@@ -500,6 +537,28 @@ class TestHostileInput:
         # parses the width and the length check rejects the short raster
         with pytest.raises(PgmError):
             read_pgm(b"P5\n" + b"9" * 5000 + b" 1\n255\n" + bytes(4))
+
+    @pytest.mark.parametrize("size", [1, 3, 32, 33, 3000])
+    def test_bad_token_quoted_in_full_up_to_32_bytes(self, size):
+        token = b"w" * size
+        with pytest.raises(PgmFormatError) as info:
+            read_pgm(b"P5\n" + token + b" 1\n255\n\x00")
+        if size <= 32:
+            assert str(info.value) == f"bad width field: {token!r}"
+        else:
+            assert str(info.value) == f"bad width field: {token[:32]!r}... ({size} bytes)"
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P5\n" + b"\xff" * 3000 + b" 1\n255\n\x00", b"P2 1 1 255\n" + b"a" * 4_000_000],
+        ids=["width", "sample"],
+    )
+    def test_long_bad_token_gives_a_short_message(self, data):
+        with pytest.raises(PgmFormatError) as info:
+            read_pgm(data)
+        message = str(info.value)
+        assert "\n" not in message and len(message) <= 200
+        assert message.endswith(" bytes)")
 
     @given(pgm_bytes())
     def test_arbitrary_bytes_decode_or_raise_pgm_error(self, data):

@@ -379,6 +379,21 @@ class TestAutoSelect:
         assert len(sweep) > 1
         assert len(calls) <= (15 - 1) // 2
 
+    def test_rows_need_no_result_and_no_lookup_table(self, natural_images, monkeypatch):
+        """Each row is scored from the moment table alone."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a sweep row built a SegmentationResult or ran histogram_mse")
+
+        monkeypatch.setattr(SegmentationResult, "__post_init__", forbidden)
+        monkeypatch.setattr(quality_module, "histogram_mse", forbidden)
+        monkeypatch.setattr(seg_module, "histogram_mse", forbidden, raising=False)
+        for name, epsilon in (("soft_blobs", 1e-12), ("gradient_sky", 0.3)):
+            _, sweep = auto_select_n(natural_images[name], SegmentationParams(n=3), epsilon, 15)
+            assert len(sweep) > 1, name
+        img = GrayImage(16, 16, np.full(256, 77))  # an exact reconstruction at once
+        assert auto_select_n(img, SegmentationParams(n=3), 0.3, 9)[0] == 3
+
     def test_moment_table_is_built_before_any_row_is_timed(
         self, natural_images, monkeypatch
     ):

@@ -6,9 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mvthresh.image import GrayImage, Histogram, compute_histogram
-from mvthresh.stats import SubRange, midpoint, range_stats, round_half_up, weighted_mean
+from mvthresh.stats import (
+    SubRange,
+    midpoint,
+    range_stats,
+    round_half_up,
+    squared_error,
+    weighted_mean,
+)
 
-from conftest import gray_images, histograms, subranges
+from conftest import gray_images, histograms, sparse_histograms, subranges
 from oracles import mean_std, moments, weighted_mean_int
 
 FULL = SubRange(0, 255)
@@ -123,6 +130,23 @@ class TestWeightedMean:
         assert got == want
         if got is not None:
             assert r.lo <= got <= r.hi
+
+
+class TestSquaredError:
+    @given(st.one_of(histograms(), sparse_histograms()), subranges(), st.data())
+    def test_matches_brute_force_sum(self, hist, r, data):
+        # a value inside the range, anywhere in [0, 255], or past either end
+        value = data.draw(
+            st.one_of(st.integers(r.lo, r.hi), st.integers(0, 255), st.integers(-300, 600))
+        )
+        want = sum(int(hist.bins[v]) * (v - value) ** 2 for v in range(r.lo, r.hi + 1))
+        assert squared_error(hist, r, value) == want
+
+    def test_extreme_masses_stay_exact(self):
+        bins = np.zeros(256, dtype=np.int64)
+        bins[0] = bins[255] = 2**40
+        assert squared_error(Histogram(bins), FULL, 0) == 2**40 * 255**2
+        assert squared_error(Histogram(bins), SubRange(1, 254), 7) == 0
 
 
 class TestMidpoint:
