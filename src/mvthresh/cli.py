@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
@@ -118,26 +119,29 @@ def _load_image(path: str) -> GrayImage:
 def _replace_files(files: dict[str, tuple]) -> None:
     """Write each path's byte chunks to a file beside it, then rename each into place.
 
-    Every file is written in full before any is replaced, so a failure leaves
-    the old files as they were; the temporary files are removed.
+    A path that is a directory is rejected before anything is written, and
+    every file is written in full before any is replaced, so a failure leaves
+    the old files as they were; the temporary files are removed. An error
+    names the path asked for, not its temporary.
     """
     temps = {}
     try:
+        for path in files:
+            if os.path.isdir(path):  # its rename would fail after the others replaced theirs
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for path, chunks in files.items():
             target = Path(path)
             temp = target.parent / f".{target.name}.{os.urandom(6).hex()}.tmp"
-            try:
-                with open(temp, "xb") as fh:
-                    temps[path] = temp
-                    fh.writelines(chunks)
-            except OSError as exc:
-                exc.filename = path  # the file asked for, not its temporary
-                raise
+            with open(temp, "xb") as fh:
+                temps[path] = temp
+                fh.writelines(chunks)
         for path, temp in temps.items():
             os.replace(temp, path)
-    except BaseException:
+    except BaseException as exc:
         for temp in temps.values():
             temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):  # named by the path asked for, not its temporary
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

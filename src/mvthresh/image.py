@@ -22,6 +22,7 @@ the next ``\\n`` or ``\\r`` as in netpbm, may span two.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -253,6 +254,17 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 _ECHO = 32
 
 
+def _number(n: int) -> str:
+    """Non-negative ``n`` in decimal, or its first ``_ECHO`` digits and its length if longer."""
+    if n < 10**_ECHO:
+        return str(n)
+    # floor(bit_length * log10 2) is the digit count or one less; str(n) may
+    # exceed Python's digit limit
+    digits = int(n.bit_length() * math.log10(2))
+    digits += n >= 10**digits
+    return f"{n // 10 ** (digits - _ECHO)}... ({digits} digits)"
+
+
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
     if not token.isdigit():
@@ -289,11 +301,11 @@ def _p2_block_samples(
     """Values of the first ``wanted`` tokens in ``data[start:stop]``, and whether a comment
     is open at ``stop``; ``in_comment`` says whether one is open at ``start``.
 
-    Tokens of one to three digits are decoded with array operations. An odd
-    token, one that is longer, holds a non-digit byte or exceeds ``maxval``,
-    is re-read on its own through ``_header_int``, in stream order: the first
-    bad one raises the message the header reader gives, and a zero-padded
-    valid one is kept.
+    Tokens of one to three digits after any leading zeros are decoded with
+    array operations. An odd token, one that is longer, holds a non-digit
+    byte or exceeds ``maxval``, is malformed: the first one in stream order
+    is re-read on its own through ``_header_int``, which names it with the
+    message the header reader gives.
     """
     body = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
     digit = body - np.uint8(ord("0"))  # wraps, so below 10 exactly on digits
@@ -308,6 +320,10 @@ def _p2_block_samples(
     starts, ends = edges[0 : 2 * wanted : 2], edges[1 : 2 * wanted : 2]
     widths = ends - starts
     last = ends - 1
+    if (widths > 3).any():
+        # a zero-padded token is read from its first byte that is no "0", or its last byte
+        lead = np.flatnonzero(digit)
+        widths = ends - np.minimum(np.append(lead, body.size)[np.searchsorted(lead, starts)], last)
     values = digit.take(last).astype(np.uint16)  # widened before scaling: uint8 * 100 wraps
     for place, scale in ((1, 10), (2, 100)):
         digits = digit.take(last - place, mode="clip").astype(np.uint16)  # masked if short
@@ -317,11 +333,9 @@ def _p2_block_samples(
     other = (digit >= 10) & in_token[1:-1]
     if ends.size and other[: ends[-1]].any():
         odd |= np.logical_or.reduceat(other[: ends[-1]], starts)
-    for i in np.flatnonzero(odd).tolist():
-        value, _ = _header_int(data, start + int(starts[i]), "sample")
-        if value > maxval:
-            raise PgmFormatError(f"sample {value} exceeds maxval {maxval}")
-        values[i] = value
+    if odd.any():
+        value, _ = _header_int(data, start + int(starts[odd.argmax()]), "sample")
+        raise PgmFormatError(f"sample {_number(value)} exceeds maxval {_number(maxval)}")
     return values, comment is not None and bool(comment[-1])
 
 
@@ -336,7 +350,7 @@ def _decode_p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndar
     done, start, in_comment = 0, pos, False
     while done < count:
         if start == len(data):
-            raise PgmLengthError(f"raster holds {done} samples, expected {count}")
+            raise PgmLengthError(f"raster holds {_number(done)} samples, expected {_number(count)}")
         # a window widened to the end of the token it splits; a comment may span two
         stop = _TOKEN_RUN.match(data, min(start + _P2_BLOCK, len(data))).end()
         values, in_comment = _p2_block_samples(data, start, stop, count - done, maxval, in_comment)
@@ -362,9 +376,9 @@ def read_pgm(data) -> GrayImage:
     height, pos = _header_int(data, pos, "height")
     maxval, pos = _header_int(data, pos, "maxval")
     if width < 1 or height < 1:
-        raise PgmFormatError(f"bad dimensions {width}x{height}")
+        raise PgmFormatError(f"bad dimensions {_number(width)}x{_number(height)}")
     if maxval != MAX_INTENSITY:
-        raise PgmDepthError(f"only maxval 255 supported, got {maxval}")
+        raise PgmDepthError(f"only maxval 255 supported, got {_number(maxval)}")
     count = width * height
 
     if magic == b"P5":
@@ -373,7 +387,9 @@ def read_pgm(data) -> GrayImage:
             raise PgmFormatError("missing separator before binary raster")
         pos += 1
         if len(data) - pos < count:
-            raise PgmLengthError(f"raster holds {len(data) - pos} bytes, expected {count}")
+            raise PgmLengthError(
+                f"raster holds {_number(len(data) - pos)} bytes, expected {_number(count)}"
+            )
         pixels = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
     else:
         # every sample takes a digit and all but the last a separator, so a
@@ -381,7 +397,7 @@ def read_pgm(data) -> GrayImage:
         available = len(data) - pos
         if available < 2 * count - 1:
             raise PgmLengthError(
-                f"raster of {available} bytes cannot hold {count} samples"
+                f"raster of {_number(available)} bytes cannot hold {_number(count)} samples"
             )
         pixels = _decode_p2_raster(data, pos, count, maxval)
 

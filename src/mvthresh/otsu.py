@@ -6,9 +6,11 @@ serving as the cost baseline for the recursive segmenter. Following Liao,
 Chen & Chung ("A Fast Algorithm for Multilevel Thresholding", 2001), one
 256x256 table holds the score of every class [u, v], so each tuple's score is
 a sum of table entries and the scan runs as one 2-D array operation per first
-threshold: O(L) Python iterations. The float scan only prefilters; near-ties
-are re-scored in exact integer arithmetic so the lexicographic tie-break is
-deterministic regardless of rounding.
+threshold: O(L) Python iterations. A cut at an empty bin that is not right
+after the previous cut is never scored, because it ties exactly with the cut
+one level lower. The float scan only prefilters; near-ties are re-scored in
+exact integer arithmetic so the lexicographic tie-break is deterministic
+regardless of rounding.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .image import MAX_INTENSITY, Histogram
+from .image import LEVELS, MAX_INTENSITY, Histogram
 
 # maximizing sum(w_c * mu_c^2) is equivalent to maximizing the between-class
 # variance (they differ by the constant mu_total^2); the scan works with
@@ -83,21 +85,26 @@ def _scored_blocks(counts, weighted, k: int):
     """Yield (origin, j) blocks scoring every ascending k-tuple exactly once.
 
     ``j[i]`` scores the thresholds ``origin + i``; entries that are not
-    ascending hold -inf. Blocks come in lexicographic order of their
-    tuples, and so do the entries of a block in C order.
+    ascending, or whose classes a smaller tuple already scores, hold -inf.
+    Blocks come in lexicographic order of their tuples, and so do the
+    entries of a block in C order.
     """
     c = np.asarray(counts, dtype=np.float64)
     s = np.asarray(weighted, dtype=np.float64)
+    occupied = c[1:] > c[:-1]
     # last[t]: the top class [t+1, 255] above a cut at t
     last = _terms(s[-1] - s[1:-1], c[-1] - c[1:-1])
     if k == 1:
-        yield (0,), _terms(s[1:-1] - s[0], c[1:-1] - c[0]) + last
+        head = _terms(s[1:-1] - s[0], c[1:-1] - c[0])
+        head[1:][~occupied[1:-1]] = -np.inf
+        yield (0,), head + last
         return
-    # table[u, v]: class [u, v]'s term (entries with v < u mean nothing)
+    # table[u, v]: class [u, v]'s term after a cut at u - 1, -inf unless the
+    # cut at v is right after it (v = u) or at an occupied bin (v > u)
     table = _terms(s[None, 1:] - s[:-1, None], c[None, 1:] - c[:-1, None])
+    table[~(np.eye(LEVELS, dtype=bool) | np.triu(occupied, 1))] = -np.inf
     # tail[t, u]: the two top classes above cuts t < u
     tail = table[1:, : _CUT_MAX + 1] + last
-    tail[np.tri(_CUT_MAX + 1, dtype=bool)] = -np.inf
     if k == 2:
         yield (0, 0), table[0, : _CUT_MAX + 1, None] + tail
         return
@@ -135,29 +142,21 @@ def otsu_multilevel_exhaustive(hist: Histogram, k: int) -> OtsuResult:
     if hist.total == 0:
         raise ValueError("cannot threshold an empty histogram")
     counts, weighted, _ = hist.moments
-    occupied = hist.bins > 0
 
     # One pass keeps the running maximum and the entries within the band of
-    # it. A cut at an empty bin, not right after the previous cut, can move
-    # down one level without changing any class: the tuple ties exactly with
-    # a lexicographically smaller one. Dropping those keeps the first tuple
-    # of each set of equal classes, so a plateau of millions of tied tuples
-    # leaves a few rows. The first cut of a k=3 block is origin[0] throughout
-    # (and starts at 0 for k < 3), so the test on it can skip a whole block.
+    # it; the table scores each set of equal classes once, by its smallest
+    # tuple, so a plateau of millions of tied tuples leaves a few rows.
     best = -np.inf
     near = []
     for origin, j in _scored_blocks(counts, weighted, k):
         top = j.max()
         best = max(best, top)
         cutoff = best - max(abs(best), 1.0) * _REL_BAND
-        if top < cutoff or not (origin[0] == 0 or occupied[origin[0]]):
+        if top < cutoff:
             continue
         hit = np.flatnonzero(j >= cutoff)
         cuts = [axis + at for axis, at in zip(np.unravel_index(hit, j.shape), origin)]
-        first = np.ones(hit.size, dtype=bool)
-        for before, cut in zip([-1] + cuts, cuts):
-            first &= (cut == before + 1) | occupied[cut]
-        near.append((j.ravel()[hit[first]], np.column_stack([cut[first] for cut in cuts])))
+        near.append((j.ravel()[hit], np.column_stack(cuts)))
     scores = np.concatenate([s for s, _ in near])
     tuples = np.concatenate([ts for _, ts in near])[scores >= cutoff]
 

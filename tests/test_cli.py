@@ -252,6 +252,35 @@ class TestSegmentCommand:
         assert out.read_bytes() == b"an earlier run's output"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.pgm", "q.pgm"]
 
+    def test_directory_report_keeps_the_old_output(self, tmp_path, blob_pgm, capsys):
+        out = tmp_path / "q.pgm"
+        out.write_bytes(b"an earlier run's output")
+        (tmp_path / "D").mkdir()
+        code = main(
+            ["segment", "--input", str(blob_pgm), "--levels", "5", "--output", str(out),
+             "--report", str(tmp_path / "D")]
+        )
+        assert code == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert err[0].endswith(f"Is a directory: {str(tmp_path / 'D')!r}")  # not its temporary
+        assert out.read_bytes() == b"an earlier run's output"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["D", "blobs.pgm", "q.pgm"]
+
+    def test_failed_rename_names_the_output(self, tmp_path, blob_pgm, capsys, monkeypatch):
+        def busy(src, dst):
+            raise OSError(errno.EBUSY, os.strerror(errno.EBUSY), src, dst)
+
+        out = tmp_path / "q.pgm"
+        out.write_bytes(b"an earlier run's output")
+        monkeypatch.setattr(os, "replace", busy)
+        code = main(["segment", "--input", str(blob_pgm), "--levels", "5", "--output", str(out)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith(f"{os.strerror(errno.EBUSY)}: {str(out)!r}")
+        assert out.read_bytes() == b"an earlier run's output"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.pgm", "q.pgm"]
+
     @pytest.mark.parametrize("report", ["q.pgm", "sub/../q.pgm"])
     def test_report_on_the_output_file_rejected(
         self, tmp_path, blob_pgm, capsys, monkeypatch, report
@@ -627,6 +656,33 @@ def test_long_bad_token_is_one_short_error_line(tmp_path, capsys, data):
     assert code == EXIT_IO
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: bad ") and len(err[0]) <= 200
+
+
+LONG = b"9" * 4000
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"P5 " + LONG + b" " + LONG + b" 255\n\x00",
+        b"P2 " + LONG + b" " + LONG + b" 255\n0",
+        b"P5 1 1 " + LONG + b"\n\x00",
+        b"P5 " + LONG + b" 1 255\n\x00",
+        b"P2 1 1 255\n" + LONG,
+        b"P5 0 " + LONG + b" 255\n\x00",
+    ],
+    ids=["p5-count", "p2-count", "maxval", "width", "sample", "dimensions"],
+)
+def test_long_number_is_one_short_error_line(tmp_path, capsys, data):
+    bad = tmp_path / "long.pgm"
+    bad.write_bytes(data)
+    code = main(
+        ["segment", "--input", str(bad), "--levels", "3", "--output", str(tmp_path / "x.pgm")]
+    )
+    assert code == EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and len(err[0]) <= 200
+    assert "(4000 digits)" in err[0] or "(8000 digits)" in err[0]
 
 
 def test_long_digit_header_field_is_io_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import ast
+import re
 import tracemalloc
 from unittest import mock
 
@@ -59,15 +60,17 @@ def p2_files(draw):
 def quoted_as_read(message):
     """The reference decoder's ``message`` as ``read_pgm`` words it.
 
-    The reference quotes a bad field in full; ``read_pgm`` quotes the first
-    32 bytes of a longer one and its length. Fields glued from several odd
-    fields by empty gaps reach that length.
+    The reference quotes a bad field and an over-maxval sample in full;
+    ``read_pgm`` quotes the first 32 bytes or digits of a longer one and its
+    length. Fields glued from several odd fields by empty gaps reach that length.
     """
     prefix = "bad sample field: "
     if message.startswith(prefix):
         field = ast.literal_eval(message[len(prefix) :])
         if len(field) > 32:
             return f"{prefix}{field[:32]!r}... ({len(field)} bytes)"
+    if over := re.fullmatch(r"sample (\d{33,}) (exceeds maxval \d+)", message):
+        return f"sample {over[1][:32]}... ({len(over[1])} digits) {over[2]}"
     return message
 
 
@@ -79,6 +82,13 @@ def p2_noisy_file(side, rng):
     seps = choices[rng.integers(0, choices.size, size=pixels.size)]
     body = "".join(f"{v}{s}" for v, s in zip(pixels.tolist(), seps.tolist()))
     return (header + body).encode("ascii"), pixels
+
+
+def p2_padded_file(side, rng):
+    """A ``side``-squared P2 file with every sample zero-padded to four digits."""
+    pixels = rng.integers(0, 256, size=side * side, dtype=np.uint8)
+    body = "\n".join(" ".join("%04d" % v for v in row) for row in pixels.reshape(side, -1).tolist())
+    return f"P2\n{side} {side}\n255\n{body}\n".encode("ascii"), pixels
 
 
 class TestReadPgm:
@@ -210,6 +220,7 @@ class TestAsciiRaster:
     @example((b"P2 2 2 255", b"\n1 2 x 300", 4))
     @example((b"P2 2 2 255", b"\n1\t#c\n\n\n\n\n2", 4))
     @example((b"P2 1 1 255", b" 00000000120000000025600000000256x", 1))
+    @example((b"P2 1 1 255", b" 0000000012" + b"00000000256" * 3, 1))
     @pytest.mark.parametrize("block", [image_module._P2_BLOCK, 3])
     def test_matches_reference_decoder(self, block, case):
         # a 3-byte block size splits the raster at nearly every newline
@@ -243,16 +254,20 @@ class TestAsciiRaster:
         assert list(img.pixels) == [1] * k + [5]
 
     def test_no_per_sample_python_calls(self, monkeypatch):
-        """Only width, height and maxval go through the token reader."""
-        data, pixels = p2_noisy_file(256, np.random.default_rng(5))
+        """Only width, height and maxval go through the token reader, zero-padded samples too."""
         calls = []
         real = image_module._header_int
         monkeypatch.setattr(
             image_module, "_header_int", lambda *args: calls.append(args[2]) or real(*args)
         )
-        img = read_pgm(data)
-        assert calls == ["width", "height", "maxval"]
-        assert np.array_equal(img.pixels, pixels)
+        for data, pixels in (
+            p2_noisy_file(256, np.random.default_rng(5)),
+            p2_padded_file(256, np.random.default_rng(7)),
+        ):
+            calls.clear()
+            img = read_pgm(data)
+            assert calls == ["width", "height", "maxval"]
+            assert np.array_equal(img.pixels, pixels)
 
     def test_temporaries_do_not_grow_with_the_file(self):
         """The raster is decoded in blocks, so a 1.4 MB file needs under 2 MiB of working memory."""
@@ -326,7 +341,8 @@ class TestAsciiRaster:
             assert (type(info.value), str(info.value)) == (type(exc), str(exc))
         else:
             assert list(read_pgm(data).pixels) == want
-        assert calls == ["width", "height", "maxval", "sample"]
+        # a zero-padded sample stays on the array path; a bad one is read on its own
+        assert calls == ["width", "height", "maxval"] + ["sample"] * (last != b"0012")
 
 
 class TestWritePgm:
