@@ -95,7 +95,7 @@ def _scored_blocks(counts, weighted, k: int):
     # last[t]: the top class [t+1, 255] above a cut at t
     last = _terms(s[-1] - s[1:-1], c[-1] - c[1:-1])
     if k == 1:
-        head = _terms(s[1:-1] - s[0], c[1:-1] - c[0])
+        head = _terms(s[1:-1] - s[0], c[1:-1] - c[0])  # table[0, :255], masked alike
         head[1:][~occupied[1:-1]] = -np.inf
         yield (0,), head + last
         return
