@@ -21,8 +21,8 @@ from pathlib import Path
 
 from .image import GrayImage, PgmError, _p5_header, compute_histogram, read_pgm
 from .otsu import otsu_multilevel_exhaustive
-from .quality import format_db, histogram_mse, median_elapsed_ms, parse_db, psnr_from_mse, timed
-from .segmentation import Replacement, SegmentationParams, auto_select_n, segment_pixels
+from .quality import format_db, median_elapsed_ms, parse_db, psnr_from_mse, timed
+from .segmentation import Replacement, SegmentationParams, auto_select_n, class_error, segment_pixels
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -155,7 +155,7 @@ def cmd_segment(args) -> int:
         raise ValueError(f"--report {args.report} would overwrite --output {args.output}")
     image = _load_image(args.input)
     (hist, result, quantized), elapsed = timed(segment_pixels, image, params)
-    err = histogram_mse(hist, result.lut)
+    err = class_error(hist, result.classes) / hist.total
     report = RunReport(
         input_path=args.input,
         params=params,
@@ -248,7 +248,7 @@ def cmd_bench(args) -> int:
             (hist, result, _), elapsed = median_elapsed_ms(
                 segment_pixels, image, params, runs=BENCH_RUNS
             )
-            value = psnr_from_mse(histogram_mse(hist, result.lut))
+            value = psnr_from_mse(class_error(hist, result.classes) / hist.total)
             rows.append(
                 {
                     "image": str(path),

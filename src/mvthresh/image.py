@@ -16,7 +16,8 @@ them; ``read_pgm`` copies any other buffer (``bytearray``, ``memoryview``,
 ``mmap``) once. ``write_pgm`` copies the raster once; writing the header and
 then the pixels to a file, as ``segment`` does, copies nothing.
 An ASCII P2 raster is decoded by uint8 byte arithmetic in fixed 32 KiB windows,
-each widened to the end of the token it splits; a ``#`` comment, which ends at
+each widened to the end of the token it splits, or ended before one that runs
+more than a window on, which is read on its own; a ``#`` comment, which ends at
 the next ``\\n`` or ``\\r`` as in netpbm, may span two.
 """
 
@@ -110,9 +111,6 @@ class GrayImage:
             and np.array_equal(self.pixels, other.pixels)
         )
 
-    def __hash__(self):
-        return hash((self.width, self.height, self.pixels.tobytes()))
-
 
 # v^0, v^1 and v^2 for every intensity v: the weights of the three moments
 _POWERS = np.arange(LEVELS, dtype=np.int64) ** np.arange(3, dtype=np.int64)[:, None]
@@ -167,9 +165,6 @@ class Histogram:
         if not isinstance(other, Histogram):
             return NotImplemented
         return np.array_equal(self.bins, other.bins)
-
-    def __hash__(self):
-        return hash(self.bins.tobytes())
 
 
 # Byte pairs per block: bounds the intp temporaries of bincount and take.
@@ -276,6 +271,14 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
         raise PgmFormatError(f"{what} field has {len(token)} digits") from None
 
 
+def _sample(data: bytes, pos: int, maxval: int) -> int:
+    """The sample token at ``data[pos]`` read on its own, with the header reader's messages."""
+    value, _ = _header_int(data, pos, "sample")
+    if value > maxval:
+        raise PgmFormatError(f"sample {_number(value)} exceeds maxval {_number(maxval)}")
+    return value
+
+
 # ASCII raster bytes decoded at a time, which bounds the decoder's temporaries
 _P2_BLOCK = 1 << 15
 
@@ -333,9 +336,8 @@ def _p2_block_samples(
     other = (digit >= 10) & in_token[1:-1]
     if ends.size and other[: ends[-1]].any():
         odd |= np.logical_or.reduceat(other[: ends[-1]], starts)
-    if odd.any():
-        value, _ = _header_int(data, start + int(starts[odd.argmax()]), "sample")
-        raise PgmFormatError(f"sample {_number(value)} exceeds maxval {_number(maxval)}")
+    if odd.any():  # read on its own, an odd token raises
+        _sample(data, start + int(starts[odd.argmax()]), maxval)
     return values, comment is not None and bool(comment[-1])
 
 
@@ -352,10 +354,18 @@ def _decode_p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndar
         if start == len(data):
             raise PgmLengthError(f"raster holds {_number(done)} samples, expected {_number(count)}")
         # a window widened to the end of the token it splits; a comment may span two
-        stop = _TOKEN_RUN.match(data, min(start + _P2_BLOCK, len(data))).end()
-        values, in_comment = _p2_block_samples(data, start, stop, count - done, maxval, in_comment)
+        cut = min(start + _P2_BLOCK, len(data))
+        stop = end = _TOKEN_RUN.match(data, cut).end()
+        if stop - cut > _P2_BLOCK:
+            # a token running more than a window on ends the window where it
+            # begins (``data[start]`` is a separator) and is read on its own
+            end = cut - _TOKEN_RUN.match(data[start:cut][::-1]).end()
+        values, in_comment = _p2_block_samples(data, start, end, count - done, maxval, in_comment)
         pixels[done : done + values.size] = values
         done += values.size
+        if end < stop and done < count and not in_comment:
+            pixels[done] = _sample(data, end, maxval)
+            done += 1
         start = stop
     return pixels
 

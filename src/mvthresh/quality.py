@@ -14,13 +14,11 @@ from typing import Any, Callable, TypeVar
 
 import numpy as np
 
-from .image import LEVELS, GrayImage, Histogram
+from .image import GrayImage
 
 T = TypeVar("T")
 
 PEAK = 255
-
-_VALUES = np.arange(LEVELS, dtype=np.int64)
 
 
 def mse(a: GrayImage, b: GrayImage) -> float:
@@ -31,20 +29,6 @@ def mse(a: GrayImage, b: GrayImage) -> float:
         )
     diff = a.pixels.astype(np.int64) - b.pixels.astype(np.int64)
     return int((diff * diff).sum()) / diff.size
-
-
-def histogram_mse(hist: Histogram, lut: np.ndarray) -> float:
-    """MSE of quantizing the histogram's image through ``lut``, without its pixels.
-
-    Every pixel of value v maps to lut[v], so the squared error sums to
-    sum_v bins[v] * (v - lut[v])^2. The integer numerator and the pixel
-    count equal those :func:`mse` divides, so the result is bit-identical
-    to ``mse(image, quantized)``.
-    """
-    if hist.total == 0:
-        raise ValueError("cannot measure the error of an empty image")
-    diff = _VALUES - lut.astype(np.int64)
-    return int((hist.bins * diff * diff).sum()) / hist.total
 
 
 def psnr_from_mse(err: float) -> float:

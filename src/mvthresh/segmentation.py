@@ -127,9 +127,6 @@ class SegmentationResult:
             return NotImplemented
         return self.thresholds == other.thresholds and self.classes == other.classes
 
-    def __hash__(self):
-        return hash((self.thresholds, self.classes))
-
 
 def step_thresholds(
     stats: RangeStats, r: SubRange, kappa1: float, kappa2: float
@@ -248,7 +245,7 @@ class SweepPoint:
     of this n, though the sweep never builds that raster, its lookup table
     or its ``SegmentationResult``. ``elapsed_ms`` times what this n adds:
     one pass (none after an early stop), the middle split and a constant
-    number of exact integer sums from the moment table. The earlier passes,
+    number of :func:`class_error` terms. The earlier passes,
     the moment table and the one histogram pass the whole sweep shares are
     not in it.
     """
@@ -258,7 +255,12 @@ class SweepPoint:
     elapsed_ms: float
 
 
-def _class_error(hist: Histogram, classes) -> int:
+def class_error(hist: Histogram, classes) -> int:
+    """Exact squared error of replacing each ``(SubRange, value)`` class by its value.
+
+    O(1) per class from the moment table. Over a segmentation's classes,
+    divided by ``hist.total``, it is the MSE the quantized pixels give, bit for bit.
+    """
     return sum(squared_error(hist, interval, value) for interval, value in classes)
 
 
@@ -280,10 +282,9 @@ def auto_select_n(
     PSNR again ends the sweep). The squared error of the classes the passes
     froze is kept as a running integer, to which each n adds the two
     classes its pass freezes and then its middle classes, each from the
-    moment table in O(1). One division by the pixel count gives the MSE:
-    the integer numerator and count that ``histogram_mse`` and ``mse``
-    divide, so every PSNR is bit-identical to theirs without a lookup table
-    or a quantized raster.
+    moment table in O(1) (:func:`class_error`). One division by the pixel
+    count gives the MSE that ``segment`` reports for that n, bit for bit,
+    without a lookup table or a quantized raster.
     """
     if not math.isfinite(epsilon) or epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -299,9 +300,9 @@ def auto_select_n(
         state = next(passes, None)
         if state is not None:
             r, lower, upper = state
-            frozen += _class_error(hist, (lower[-1], upper[0]))
+            frozen += class_error(hist, (lower[-1], upper[0]))
         _, middle = _middle(hist, r, base.replacement)
-        value = psnr_from_mse((frozen + _class_error(hist, middle)) / hist.total)
+        value = psnr_from_mse((frozen + class_error(hist, middle)) / hist.total)
         elapsed = (time.perf_counter() - start) * 1000.0
         sweep.append(SweepPoint(n=n, psnr_db=value, elapsed_ms=elapsed))
         if math.isinf(value):

@@ -1,5 +1,6 @@
 import ast
 import re
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -301,6 +302,44 @@ class TestAsciiRaster:
                 tracemalloc.stop()
             assert peak - pixels.size < 2 << 20, choices
             assert np.array_equal(img.pixels, pixels), choices
+
+    @pytest.mark.parametrize(
+        "count, raster",
+        [
+            (2, b" " + b"a" * 4_000_000),
+            pytest.param(
+                2,
+                b" " + b"1" * 4_000_000,
+                marks=pytest.mark.skipif(
+                    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() has no digit cap, so reading this sample takes quadratic time",
+                ),
+            ),
+            (2, b" 1 " + b"x" * 4_000_000),
+            (1, b" 7 " + b"a" * 4_000_000),  # trailing garbage after the last sample
+            (2, b" #" + b"a" * 4_000_000 + b"\n3 4"),
+        ],
+        ids=["letters", "digits", "after-a-sample", "trailing", "comment"],
+    )
+    def test_overlong_token_is_never_classified(self, count, raster):
+        """A token running more than a window past the cut is read on its own, or skipped
+        in a comment, so it costs no per-byte temporaries: under 2 MiB beyond the file."""
+        data = b"P2 %d 1 255" % count + raster
+        tracemalloc.start()
+        try:
+            try:
+                got = list(read_pgm(data).pixels)
+            except PgmError as exc:
+                got = (type(exc), str(exc))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(data) + (2 << 20)
+        try:
+            want = reference_p2_raster(raster, count, 255)
+        except PgmError as exc:
+            want = (type(exc), quoted_as_read(str(exc)))
+        assert got == want
 
     @pytest.mark.parametrize("bad", [None, b"256", b"300", b"999", b"0256", b"1a", b"a1"])
     @pytest.mark.parametrize("block", [image_module._P2_BLOCK, 3])

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mvthresh.image import GrayImage, Histogram, compute_histogram
+from mvthresh.image import GrayImage, compute_histogram
 from mvthresh.quality import (
     format_db,
-    histogram_mse,
     median_elapsed_ms,
     mse,
     parse_db,
@@ -16,7 +15,7 @@ from mvthresh.quality import (
     psnr_from_mse,
     timed,
 )
-from mvthresh.segmentation import Replacement, SegmentationParams, segment_image
+from mvthresh.segmentation import Replacement, SegmentationParams, class_error, segment_image
 
 from conftest import gray_images
 
@@ -86,6 +85,8 @@ class TestPsnr:
 
 
 class TestHistogramMse:
+    """The MSE that ``segment`` and ``bench`` report, from the moment table alone."""
+
     @given(
         gray_images(),
         st.sampled_from([3, 5, 7, 9, 11]),
@@ -93,13 +94,10 @@ class TestHistogramMse:
     )
     def test_equals_pixel_mse_exactly(self, img, n, mode):
         result, quantized = segment_image(img, SegmentationParams(n=n, replacement=mode))
-        err = histogram_mse(compute_histogram(img), result.lut)
+        hist = compute_histogram(img)
+        err = class_error(hist, result.classes) / hist.total
         assert err == mse(img, quantized)
         assert psnr_from_mse(err) == psnr(img, quantized)
-
-    def test_empty_histogram_rejected(self):
-        with pytest.raises(ValueError):
-            histogram_mse(Histogram(np.zeros(256, dtype=np.int64)), np.zeros(256, np.uint8))
 
 
 class TestDbText:
