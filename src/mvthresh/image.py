@@ -23,7 +23,6 @@ the next ``\\n`` or ``\\r`` as in netpbm, may span two.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -244,38 +243,35 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[pos:end], end
 
 
-# bytes of a bad token that its error message quotes: a longer one is cut,
-# so that any input's message stays one short line
+# bytes of a bad token, or digits of a long number, that its error message
+# quotes: a longer one is cut, so that any input's message stays one short line
 _ECHO = 32
 
-
-def _number(n: int) -> str:
-    """Non-negative ``n`` in decimal, or its first ``_ECHO`` digits and its length if longer."""
-    if n < 10**_ECHO:
-        return str(n)
-    # floor(bit_length * log10 2) is the digit count or one less; str(n) may
-    # exceed Python's digit limit
-    digits = int(n.bit_length() * math.log10(2))
-    digits += n >= 10**digits
-    return f"{n // 10 ** (digits - _ECHO)}... ({digits} digits)"
+# digits a number may have after its leading zeros, checked before int() runs,
+# so reading one is linear on every Python: no file holds a raster with a
+# 17-digit side, and two 16-digit sides multiply to at most _ECHO digits, so
+# every number a message quotes prints in full
+_DIGITS = _ECHO // 2
 
 
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    """The number at ``data[pos]``, read from its digits after any leading zeros."""
     token, pos = _next_token(data, pos)
     if not token.isdigit():
         shown = repr(token) if len(token) <= _ECHO else f"{token[:_ECHO]!r}... ({len(token)} bytes)"
         raise PgmFormatError(f"bad {what} field: {shown}")
-    try:
-        return int(token), pos
-    except ValueError:  # Python >= 3.11 caps int() at 4300 digits
-        raise PgmFormatError(f"{what} field has {len(token)} digits") from None
+    digits = token.lstrip(b"0")
+    if len(digits) > _DIGITS:
+        shown = digits.decode() if len(digits) <= _ECHO else f"{digits[:_ECHO].decode()}..."
+        raise PgmFormatError(f"{what} field too long: {shown} ({len(digits)} digits)")
+    return int(digits or b"0"), pos
 
 
 def _sample(data: bytes, pos: int, maxval: int) -> int:
     """The sample token at ``data[pos]`` read on its own, with the header reader's messages."""
     value, _ = _header_int(data, pos, "sample")
     if value > maxval:
-        raise PgmFormatError(f"sample {_number(value)} exceeds maxval {_number(maxval)}")
+        raise PgmFormatError(f"sample {value} exceeds maxval {maxval}")
     return value
 
 
@@ -352,7 +348,7 @@ def _decode_p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndar
     done, start, in_comment = 0, pos, False
     while done < count:
         if start == len(data):
-            raise PgmLengthError(f"raster holds {_number(done)} samples, expected {_number(count)}")
+            raise PgmLengthError(f"raster holds {done} samples, expected {count}")
         # a window widened to the end of the token it splits; a comment may span two
         cut = min(start + _P2_BLOCK, len(data))
         stop = end = _TOKEN_RUN.match(data, cut).end()
@@ -386,9 +382,9 @@ def read_pgm(data) -> GrayImage:
     height, pos = _header_int(data, pos, "height")
     maxval, pos = _header_int(data, pos, "maxval")
     if width < 1 or height < 1:
-        raise PgmFormatError(f"bad dimensions {_number(width)}x{_number(height)}")
+        raise PgmFormatError(f"bad dimensions {width}x{height}")
     if maxval != MAX_INTENSITY:
-        raise PgmDepthError(f"only maxval 255 supported, got {_number(maxval)}")
+        raise PgmDepthError(f"only maxval 255 supported, got {maxval}")
     count = width * height
 
     if magic == b"P5":
@@ -397,18 +393,14 @@ def read_pgm(data) -> GrayImage:
             raise PgmFormatError("missing separator before binary raster")
         pos += 1
         if len(data) - pos < count:
-            raise PgmLengthError(
-                f"raster holds {_number(len(data) - pos)} bytes, expected {_number(count)}"
-            )
+            raise PgmLengthError(f"raster holds {len(data) - pos} bytes, expected {count}")
         pixels = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
     else:
         # every sample takes a digit and all but the last a separator, so a
         # short payload is rejected before a header-sized allocation
         available = len(data) - pos
         if available < 2 * count - 1:
-            raise PgmLengthError(
-                f"raster of {_number(available)} bytes cannot hold {_number(count)} samples"
-            )
+            raise PgmLengthError(f"raster of {available} bytes cannot hold {count} samples")
         pixels = _decode_p2_raster(data, pos, count, maxval)
 
     return GrayImage._owning(width, height, pixels)

@@ -10,7 +10,6 @@ earlier exhaustive Otsu search, kept because plain loops cannot score all
 """
 
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -285,7 +284,6 @@ def reference_p2_raster(raster, count, maxval):
 
     if len(raster) < 2 * count - 1:
         raise PgmLengthError(f"raster of {len(raster)} bytes cannot hold {count} samples")
-    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     samples = []
     i = 0
     while len(samples) < count:
@@ -302,10 +300,12 @@ def reference_p2_raster(raster, count, maxval):
         field = raster[start:i]
         if not all(ord("0") <= b <= ord("9") for b in field):
             raise PgmFormatError(f"bad sample field: {field!r}")
-        if 0 < max_digits < len(field):
-            raise PgmFormatError(f"sample field has {len(field)} digits")
+        digits = field.lstrip(b"0")  # a number is read after its leading zeros
+        if len(digits) > 16:
+            shown = digits.decode() if len(digits) <= 32 else f"{digits[:32].decode()}..."
+            raise PgmFormatError(f"sample field too long: {shown} ({len(digits)} digits)")
         value = 0
-        for b in field:
+        for b in digits:
             value = 10 * value + b - ord("0")
         if value > maxval:
             raise PgmFormatError(f"sample {value} exceeds maxval {maxval}")

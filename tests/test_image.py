@@ -1,7 +1,9 @@
 import ast
 import re
 import sys
+import time
 import tracemalloc
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -21,6 +23,7 @@ from mvthresh.image import (
     read_pgm,
     write_pgm,
 )
+from mvthresh.synthetic import GENERATORS
 
 from conftest import gray_images, histograms, pgm_bytes
 from oracles import moments, pixel_tally, reference_p2_raster
@@ -61,17 +64,15 @@ def p2_files(draw):
 def quoted_as_read(message):
     """The reference decoder's ``message`` as ``read_pgm`` words it.
 
-    The reference quotes a bad field and an over-maxval sample in full;
-    ``read_pgm`` quotes the first 32 bytes or digits of a longer one and its
-    length. Fields glued from several odd fields by empty gaps reach that length.
+    The reference quotes a bad field in full; ``read_pgm`` quotes the first
+    32 bytes of a longer one and its length. Fields glued from several odd
+    fields by empty gaps reach that length.
     """
     prefix = "bad sample field: "
     if message.startswith(prefix):
         field = ast.literal_eval(message[len(prefix) :])
         if len(field) > 32:
             return f"{prefix}{field[:32]!r}... ({len(field)} bytes)"
-    if over := re.fullmatch(r"sample (\d{33,}) (exceeds maxval \d+)", message):
-        return f"sample {over[1][:32]}... ({len(over[1])} digits) {over[2]}"
     return message
 
 
@@ -90,6 +91,59 @@ def p2_padded_file(side, rng):
     pixels = rng.integers(0, 256, size=side * side, dtype=np.uint8)
     body = "\n".join(" ".join("%04d" % v for v in row) for row in pixels.reshape(side, -1).tolist())
     return f"P2\n{side} {side}\n255\n{body}\n".encode("ascii"), pixels
+
+
+def _fixture_files():
+    """Every synthetic image at 16x16, as P5 and as P2 rows under a comment."""
+    files = []
+    for generate in GENERATORS.values():
+        img = generate(size=16)
+        rows = "\n".join(" ".join(map(str, row)) for row in img.as_array().tolist())
+        files += [write_pgm(img), f"P2\n# fixture\n16 16\n255\n{rows}\n".encode("ascii")]
+    return files
+
+
+_FIXTURE_FILES = _fixture_files()
+_TOKEN = re.compile(rb"[^ \t\n\r\x0b\x0c#]+")
+
+
+@st.composite
+def mutated_files(draw):
+    """A fixture file truncated, spliced with another, given an inserted run or a widened token.
+
+    Runs and widenings reach 32 P2 windows (1 MiB), so some cross a window
+    edge or run more than a window past the cut, and classifying one would
+    take more than the memory bound.
+    """
+    data = draw(st.sampled_from(_FIXTURE_FILES))
+    at = draw(st.integers(0, len(data)))
+    window = image_module._P2_BLOCK
+    size = draw(st.one_of(st.integers(1, 40), st.integers(window - 40, 32 * window)))
+    kind = draw(st.sampled_from(["truncate", "splice", "insert", "widen"]))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "splice":
+        other = draw(st.sampled_from(_FIXTURE_FILES))
+        return data[:at] + other[draw(st.integers(0, len(other))) :]
+    if kind == "insert":
+        unit = draw(st.sampled_from([b" ", b"0", b"9876543210", b"#", b"\r"]))
+        return data[:at] + (unit * size)[:size] + data[at:]
+    # the header's numbers (tokens 1 to 3) and the first sample are drawn more often
+    tokens = list(_TOKEN.finditer(data))
+    token = tokens[draw(st.one_of(st.integers(1, 4), st.integers(0, len(tokens) - 1)))]
+    fill = draw(st.sampled_from([b"0", token[0][:1]]))
+    return data[: token.start()] + fill * size + data[token.start() :]
+
+
+@contextmanager
+def int_cap_lifted():
+    """Python's int() digit cap switched off, as Python 3.10 has none."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 class TestReadPgm:
@@ -237,8 +291,7 @@ class TestAsciiRaster:
                 assert list(read_pgm(header + raster).pixels) == want
 
     def test_long_sample_field_matches_reference(self):
-        # "sample field has 5000 digits" on Python >= 3.11, an over-maxval
-        # sample before that
+        # more than 16 digits after its leading zeros, on every Python
         raster = b"\n" + b"9" * 5000
         with pytest.raises(PgmFormatError) as want:
             reference_p2_raster(raster, 1, 255)
@@ -307,14 +360,7 @@ class TestAsciiRaster:
         "count, raster",
         [
             (2, b" " + b"a" * 4_000_000),
-            pytest.param(
-                2,
-                b" " + b"1" * 4_000_000,
-                marks=pytest.mark.skipif(
-                    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-                    reason="int() has no digit cap, so reading this sample takes quadratic time",
-                ),
-            ),
+            (2, b" " + b"1" * 4_000_000),
             (2, b" 1 " + b"x" * 4_000_000),
             (1, b" 7 " + b"a" * 4_000_000),  # trailing garbage after the last sample
             (2, b" #" + b"a" * 4_000_000 + b"\n3 4"),
@@ -588,8 +634,7 @@ class TestHistogram:
 
 class TestHostileInput:
     def test_long_digit_header_field(self):
-        # Python >= 3.11 refuses int() on more than 4300 digits; Python 3.10
-        # parses the width and the length check rejects the short raster
+        # more than 16 digits is rejected before int() reads them, on every Python
         with pytest.raises(PgmError):
             read_pgm(b"P5\n" + b"9" * 5000 + b" 1\n255\n" + bytes(4))
 
@@ -622,3 +667,65 @@ class TestHostileInput:
         except PgmError:
             return
         assert isinstance(image, GrayImage)
+
+    @settings(max_examples=300)
+    @given(mutated_files())
+    @example(b"P2 16 16 255\n" + b"0" * 4301 + b"12" + b" 7" * 255)
+    @example(b"P5 " + b"0" * 70_000 + b"1 1 255\n\x00")
+    def test_mutated_file_decodes_or_gives_one_short_line(self, data):
+        """Bounded memory and one short message on any mutation of a fixture file."""
+        tracemalloc.start()
+        try:
+            try:
+                result = read_pgm(data)
+            except PgmError as exc:
+                result = str(exc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(data) + (2 << 20)
+        if isinstance(result, str):
+            assert result.splitlines() == [result] and len(result) <= 200
+        else:
+            assert isinstance(result, GrayImage)
+
+    @pytest.mark.parametrize("zeros", [0, 5000])
+    def test_sixteen_digits_after_the_leading_zeros(self, zeros):
+        pad = b"0" * zeros
+        with pytest.raises(PgmLengthError, match=r"^raster holds 1 bytes, expected 9{16}$"):
+            read_pgm(b"P5 " + pad + b"9" * 16 + b" 1 255\n\x00")
+        with pytest.raises(PgmFormatError, match=r"^width field too long: 1{17} \(17 digits\)$"):
+            read_pgm(b"P5 " + pad + b"1" * 17 + b" 1 255\n\x00")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="Python 3.10 has no int() digit cap"
+)
+class TestIntCapLifted:
+    """With int()'s digit cap lifted, every number reads as with it on, in linear time."""
+
+    @pytest.mark.parametrize("zeros", [4301, 70_000, 800_000])
+    def test_zero_padded_sample(self, zeros):
+        # 70,000 zeros run more than a window past the cut, so the sample is read on its own
+        raster = b"\n" + b"0" * zeros + b"12\n"
+        for cap in (nullcontext(), int_cap_lifted()):
+            with cap:
+                assert list(read_pgm(b"P2 1 1 255" + raster).pixels) == [12]
+                assert reference_p2_raster(raster, 1, 255) == [12]
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P5 " + b"9" * 800_000 + b" 1 255\n\x00", b"P2 1 1 255\n" + b"9" * 800_000],
+        ids=["width", "sample"],
+    )
+    def test_long_number_rejected_in_linear_time(self, data):
+        with pytest.raises(PgmFormatError) as capped:
+            read_pgm(data)
+        with int_cap_lifted():
+            began = time.perf_counter()
+            with pytest.raises(PgmFormatError) as lifted:
+                read_pgm(data)
+            elapsed = time.perf_counter() - began
+        assert str(lifted.value) == str(capped.value)
+        assert str(capped.value).endswith("... (800000 digits)")
+        assert elapsed < 1.0
