@@ -13,15 +13,13 @@ import errno
 import functools
 import io
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .image import GrayImage, PgmError, _p5_header, compute_histogram, read_pgm
 from .otsu import otsu_multilevel_exhaustive
-from .quality import format_db, median_elapsed_ms, parse_db, psnr_from_mse, timed
+from .quality import format_db, median_elapsed_ms, psnr_from_mse, timed
 from .segmentation import Replacement, SegmentationParams, auto_select_n, class_error, segment_pixels
 
 EXIT_OK = 0
@@ -29,63 +27,6 @@ EXIT_IO = 1
 EXIT_USAGE = 2
 
 BENCH_RUNS = 20
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Machine-readable record of one segmentation run: its cut and its quality."""
-
-    input_path: str
-    params: SegmentationParams
-    thresholds: tuple[int, ...]
-    classes: tuple[tuple[int, int, int], ...]  # (lo, hi, replacement)
-    effective_n: int
-    mse: float
-    psnr_db: float
-    elapsed_ms: float
-
-    def __post_init__(self):
-        if (self.mse == 0.0) != math.isinf(self.psnr_db):
-            raise ValueError("psnr must be the infinity sentinel exactly when mse is 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "input_path": self.input_path,
-            "params": self.params.to_dict(),
-            "thresholds": list(self.thresholds),
-            "classes": [
-                {"lo": lo, "hi": hi, "value": value} for lo, hi, value in self.classes
-            ],
-            "effective_n": self.effective_n,
-            "quality": {
-                "mse": self.mse,
-                "psnr_db": format_db(self.psnr_db),
-                "elapsed_ms": self.elapsed_ms,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunReport":
-        quality = payload["quality"]
-        return cls(
-            input_path=payload["input_path"],
-            params=SegmentationParams.from_dict(payload["params"]),
-            thresholds=tuple(int(t) for t in payload["thresholds"]),
-            classes=tuple(
-                (int(c["lo"]), int(c["hi"]), int(c["value"])) for c in payload["classes"]
-            ),
-            effective_n=int(payload["effective_n"]),
-            mse=float(quality["mse"]),
-            psnr_db=parse_db(quality["psnr_db"]),
-            elapsed_ms=float(quality["elapsed_ms"]),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls.from_dict(json.loads(text))
 
 
 def _parse_kappa_schedule(text: str) -> tuple[tuple[float, float], ...]:
@@ -120,9 +61,11 @@ def _replace_files(files: dict[str, tuple]) -> None:
     """Write each path's byte chunks to a file beside it, then rename each into place.
 
     A path that is a directory is rejected before anything is written, and
-    every file is written in full before any is replaced, so a failure leaves
-    the old files as they were; the temporary files are removed. An error
-    names the path asked for, not its temporary.
+    every file is written in full before any is replaced, so a failure before
+    the renames keeps every old file. A rename that fails after others have
+    succeeded leaves those paths replaced and its own and later paths as they
+    were. Either way no temporary file is left, and the error names the path
+    asked for, not its temporary.
     """
     temps = {}
     try:
@@ -156,24 +99,23 @@ def cmd_segment(args) -> int:
     image = _load_image(args.input)
     (hist, result, quantized), elapsed = timed(segment_pixels, image, params)
     err = class_error(hist, result.classes) / hist.total
-    report = RunReport(
-        input_path=args.input,
-        params=params,
-        thresholds=result.thresholds,
-        classes=tuple((iv.lo, iv.hi, value) for iv, value in result.classes),
-        effective_n=result.effective_n,
-        mse=err,
-        psnr_db=psnr_from_mse(err),
-        elapsed_ms=elapsed,
-    )
+    psnr_db = psnr_from_mse(err)
     files = {args.output: (_p5_header(quantized), quantized.pixels)}
     if args.report:
-        files[args.report] = (report.to_json().encode("utf-8"),)
+        report = {
+            "input_path": args.input,
+            "params": params.to_dict(),
+            "thresholds": list(result.thresholds),
+            "classes": [{"lo": iv.lo, "hi": iv.hi, "value": value} for iv, value in result.classes],
+            "effective_n": result.effective_n,
+            "quality": {"mse": err, "psnr_db": format_db(psnr_db), "elapsed_ms": elapsed},
+        }
+        files[args.report] = (json.dumps(report, indent=2).encode("utf-8"),)
     _replace_files(files)
 
     _print_thresholds(result.thresholds)
     print(f"effective_n: {result.effective_n}")
-    print(f"psnr_db: {format_db(report.psnr_db, 2)}")
+    print(f"psnr_db: {format_db(psnr_db, 2)}")
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .image import LEVELS, MAX_INTENSITY, Histogram
+from .stats import SubRange, _moments
 
 # maximizing sum(w_c * mu_c^2) is equivalent to maximizing the between-class
 # variance (they differ by the constant mu_total^2); the scan works with
@@ -68,10 +69,8 @@ def between_class_variance(hist: Histogram, thresholds) -> float:
     ts = _checked_thresholds(thresholds)
     if hist.total == 0:
         return 0.0
-    counts, weighted, _ = hist.moments
     n = hist.total
-    j = _exact_j(_class_signature(counts, weighted, ts))
-    return float(j / n - Fraction(weighted[-1], n) ** 2)
+    return float(_exact_j(hist, ts) / n - Fraction(hist.moments[1][-1], n) ** 2)
 
 
 def _terms(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -113,19 +112,12 @@ def _scored_blocks(counts, weighted, k: int):
         yield (t1, t1 + 1, t1 + 2), (head[:, None] + tail[t1 + 1 : _CUT_MAX, t1 + 2 :])[None]
 
 
-def _class_signature(counts, weighted, ts) -> tuple[int, ...]:
-    """Interleaved per-class (count, sum); candidates sharing it tie exactly."""
-    bounds = (-1,) + ts + (MAX_INTENSITY,)
-    sig = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        sig.append(int(counts[hi + 1] - counts[lo + 1]))
-        sig.append(int(weighted[hi + 1] - weighted[lo + 1]))
-    return tuple(sig)
-
-
-def _exact_j(signature) -> Fraction:
+def _exact_j(hist: Histogram, ts) -> Fraction:
+    """J = sum(s_c^2 / n_c) over the classes ``ts`` cuts, exactly; empty classes add 0."""
+    bounds = (-1, *ts, MAX_INTENSITY)
     j = Fraction(0)
-    for c, s in zip(signature[::2], signature[1::2]):
+    for lo, hi in zip(bounds, bounds[1:]):
+        c, s, _ = _moments(hist, SubRange(lo + 1, hi))
         if c:
             j += Fraction(s * s, c)
     return j
@@ -161,10 +153,7 @@ def otsu_multilevel_exhaustive(hist: Histogram, k: int) -> OtsuResult:
     tuples = np.concatenate([ts for _, ts in near])[scores >= cutoff]
 
     # max() returns the first of equal maxima: the lexicographic tie-break
-    def exact(ts):
-        return _exact_j(_class_signature(counts, weighted, ts))
-
-    best_tuple = max(map(tuple, tuples.tolist()), key=exact)
+    best_tuple = max(map(tuple, tuples.tolist()), key=lambda ts: _exact_j(hist, ts))
     return OtsuResult(thresholds=best_tuple, criterion=between_class_variance(hist, best_tuple))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from typing import Any, Callable, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -70,15 +70,9 @@ def format_db(value: float, digits: int | None = None) -> str:
     """Serialize a dB value; infinity becomes the sentinel string "inf".
 
     With ``digits`` the value is rounded to that many decimals; without, it
-    is written in full (``repr``) so that :func:`parse_db` restores it exactly.
+    is written in full (``repr``), so ``float`` of the text is the value exactly.
     """
     if math.isinf(value):
         return "inf"
     return repr(value) if digits is None else f"{value:.{digits}f}"
 
-
-def parse_db(text: Any) -> float:
-    """Inverse of :func:`format_db`: the "inf" sentinel or a decimal number."""
-    if text == "inf":
-        return math.inf
-    return float(text)

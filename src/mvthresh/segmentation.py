@@ -78,14 +78,6 @@ class SegmentationParams:
             "replacement": self.replacement.value,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SegmentationParams":
-        return cls(
-            n=int(payload["levels"]),
-            kappa_schedule=tuple(tuple(pair) for pair in payload["kappa_schedule"]),
-            replacement=Replacement(payload["replacement"]),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class SegmentationResult:

@@ -1,7 +1,6 @@
 import csv
 import errno
 import json
-import math
 import os
 import subprocess
 import sys
@@ -16,9 +15,9 @@ import mvthresh
 import mvthresh.cli as cli_module
 import mvthresh.image as image_module
 import mvthresh.quality as quality_module
-from mvthresh.cli import RunReport, main
+from mvthresh.cli import main
 from mvthresh.image import GrayImage, read_pgm, write_pgm
-from mvthresh.segmentation import SegmentationParams
+from mvthresh.quality import psnr_from_mse
 from mvthresh.synthetic import soft_blobs
 
 from conftest import pgm_bytes
@@ -69,10 +68,10 @@ class TestSegmentCommand:
         assert (quantized.width, quantized.height) == (64, 64)
         assert len(set(quantized.pixels.tolist())) <= 6
 
-        parsed = RunReport.from_json(report.read_text())
+        parsed = json.loads(report.read_text())
         printed = stdout.split("thresholds:")[1].splitlines()[0]
-        assert [int(t) for t in printed.split(",")] == list(parsed.thresholds)
-        assert parsed.effective_n == len(parsed.thresholds)
+        assert [int(t) for t in printed.split(",")] == parsed["thresholds"]
+        assert parsed["effective_n"] == len(parsed["thresholds"])
 
     def test_deterministic_output_bytes(self, tmp_path, blob_pgm):
         outs = []
@@ -136,13 +135,13 @@ class TestSegmentCommand:
              "--report", str(report)]
         )
         assert code == EXIT_OK
-        run = RunReport.from_json(report.read_text(encoding="utf-8"))
+        run = json.loads(report.read_text(encoding="utf-8"))
         lut = np.empty(256, dtype=np.uint8)
-        for lo, hi, value in run.classes:
-            lut[lo : hi + 1] = value
+        for c in run["classes"]:
+            lut[c["lo"] : c["hi"] + 1] = c["value"]
         quantized = read_pgm(out.read_bytes())
         assert np.array_equal(quantized.pixels, lut[image.pixels])
-        assert run.mse == quality_module.mse(image, quantized)
+        assert run["quality"]["mse"] == quality_module.mse(image, quantized)
 
     def test_quality_never_rescans_pixels(self, tmp_path, blob_pgm, monkeypatch):
         calls = []
@@ -159,7 +158,7 @@ class TestSegmentCommand:
         assert calls == []
         quantized = read_pgm((tmp_path / "o.pgm").read_bytes())
         original = read_pgm(blob_pgm.read_bytes())
-        assert RunReport.from_json(report.read_text()).mse == real(original, quantized)
+        assert json.loads(report.read_text())["quality"]["mse"] == real(original, quantized)
 
     def test_bad_kappa_schedule_rejected(self, tmp_path, blob_pgm):
         code = main(
@@ -281,6 +280,35 @@ class TestSegmentCommand:
         assert out.read_bytes() == b"an earlier run's output"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.pgm", "q.pgm"]
 
+    def test_failed_second_rename_names_the_report(
+        self, tmp_path, blob_pgm, capsys, monkeypatch
+    ):
+        """The output is already replaced when the report's rename fails; the report is not."""
+        real_replace, renamed = os.replace, []
+
+        def second_busy(src, dst):
+            if renamed:
+                raise OSError(errno.EBUSY, os.strerror(errno.EBUSY), src, dst)
+            renamed.append(dst)
+            real_replace(src, dst)
+
+        out, report = tmp_path / "q.pgm", tmp_path / "r.json"
+        out.write_bytes(b"an earlier run's output")
+        report.write_text("an earlier run's report", encoding="utf-8")
+        monkeypatch.setattr(os, "replace", second_busy)
+        code = main(
+            ["segment", "--input", str(blob_pgm), "--levels", "5", "--output", str(out),
+             "--report", str(report)]
+        )
+        assert code == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert err[0].endswith(f"{os.strerror(errno.EBUSY)}: {str(report)!r}")
+        assert renamed == [str(out)]
+        assert read_pgm(out.read_bytes()).width == 64
+        assert report.read_text(encoding="utf-8") == "an earlier run's report"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.pgm", "q.pgm", "r.json"]
+
     @pytest.mark.parametrize("report", ["q.pgm", "sub/../q.pgm"])
     def test_report_on_the_output_file_rejected(
         self, tmp_path, blob_pgm, capsys, monkeypatch, report
@@ -306,7 +334,7 @@ class TestSegmentCommand:
                 "--report", str(report)]
         assert main(argv) == EXIT_OK
         assert len(out.read_bytes()) == len(b"P5\n64 64\n255\n") + 64 * 64
-        assert RunReport.from_json(report.read_text(encoding="utf-8")).effective_n == 5
+        assert json.loads(report.read_text(encoding="utf-8"))["effective_n"] == 5
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.pgm", "q.pgm", "r.json"]
         probe.touch()  # a file made the ordinary way: same permissions as the outputs
         assert {p.stat().st_mode for p in (out, report)} == {probe.stat().st_mode}
@@ -528,9 +556,12 @@ class TestReportRoundTrip:
              "--output", str(tmp_path / "o.pgm"), "--report", str(report_path)]
         ) == EXIT_OK
         text = report_path.read_text()
-        parsed = RunReport.from_json(text)
-        assert parsed.to_json() == text
-        assert json.loads(text)["params"]["levels"] == 7
+        payload = json.loads(text)
+        assert json.dumps(payload, indent=2) == text
+        assert payload["params"]["levels"] == 7
+        quality = payload["quality"]
+        assert quality["mse"] > 0
+        assert float(quality["psnr_db"]) == psnr_from_mse(quality["mse"])  # bit for bit
 
     def test_infinite_psnr_round_trip(self, tmp_path, constant_pgm):
         report_path = tmp_path / "r.json"
@@ -538,10 +569,10 @@ class TestReportRoundTrip:
             ["segment", "--input", str(constant_pgm), "--levels", "3",
              "--output", str(tmp_path / "o.pgm"), "--report", str(report_path)]
         ) == EXIT_OK
-        parsed = RunReport.from_json(report_path.read_text())
-        assert math.isinf(parsed.psnr_db)
-        assert parsed.mse == 0.0
-        assert parsed.thresholds == (100,)
+        parsed = json.loads(report_path.read_text())
+        assert parsed["quality"]["psnr_db"] == "inf"
+        assert parsed["quality"]["mse"] == 0.0
+        assert parsed["thresholds"] == [100]
 
     def test_params_written_once(self, tmp_path, blob_pgm):
         report_path = tmp_path / "r.json"
@@ -554,37 +585,6 @@ class TestReportRoundTrip:
             "input_path", "params", "thresholds", "classes", "effective_n", "quality"
         ]
         assert list(payload["quality"]) == ["mse", "psnr_db", "elapsed_ms"]
-
-
-def run_report(mse, psnr_db):
-    return RunReport(
-        input_path="in.pgm",
-        params=SegmentationParams(n=3, kappa_schedule=((0.9, 1.1),)),
-        thresholds=(60, 120, 180),
-        classes=((0, 59, 30), (60, 119, 90), (120, 179, 150), (180, 255, 218)),
-        effective_n=3,
-        mse=mse,
-        psnr_db=psnr_db,
-        elapsed_ms=0.71,
-    )
-
-
-class TestRunReport:
-    def test_zero_mse_requires_infinite_psnr(self):
-        with pytest.raises(ValueError):
-            run_report(mse=0.0, psnr_db=51.0)
-        with pytest.raises(ValueError):
-            run_report(mse=4.0, psnr_db=math.inf)
-
-    def test_dict_round_trip(self):
-        report = run_report(mse=2.5, psnr_db=44.15)
-        assert RunReport.from_dict(report.to_dict()) == report
-
-    def test_infinity_serialized_as_sentinel(self):
-        report = run_report(mse=0.0, psnr_db=math.inf)
-        payload = report.to_dict()
-        assert payload["quality"]["psnr_db"] == "inf"
-        assert RunReport.from_dict(payload) == report
 
 
 # Each flag value here is rejected by the library (SegmentationParams,

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -79,7 +80,9 @@ class TestParams:
         params = SegmentationParams(
             n=5, kappa_schedule=((1.0, 1.5),), replacement=Replacement.MIDPOINT
         )
-        assert SegmentationParams.from_dict(params.to_dict()) == params
+        payload = {"levels": 5, "kappa_schedule": [[1.0, 1.5]], "replacement": "midpoint"}
+        assert params.to_dict() == payload
+        assert json.loads(json.dumps(params.to_dict())) == payload
 
 
 class TestStepThresholds:
