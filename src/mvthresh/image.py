@@ -15,10 +15,12 @@ raster decoded from ``bytes``, which cannot change, is a frozen view into
 them; ``read_pgm`` copies any other buffer (``bytearray``, ``memoryview``,
 ``mmap``) once. ``write_pgm`` copies the raster once; writing the header and
 then the pixels to a file, as ``segment`` does, copies nothing.
-An ASCII P2 raster is decoded by uint8 byte arithmetic in fixed 32 KiB windows,
-each widened to the end of the token it splits, or ended before one that runs
-more than a window on, which is read on its own; a ``#`` comment, which ends at
-the next ``\\n`` or ``\\r`` as in netpbm, may span two.
+An ASCII P2 raster is decoded by uint8 byte arithmetic in fixed 32 KiB windows.
+A ``#`` comment, up to the next ``\\n`` or ``\\r`` as in netpbm, still open at a
+window's cut ends the window at its ``#`` and is skipped whole; comments inside
+a window are cut by the header's pattern. Any other window is widened to the
+end of the token it splits, or ended before one that runs more than a window
+on, which is read on its own.
 """
 
 from __future__ import annotations
@@ -131,9 +133,12 @@ class Histogram:
             raise ValueError(f"histogram needs exactly {LEVELS} bins, got shape {bins.shape}")
         if bins.min() < 0:
             raise ValueError("histogram counts must be non-negative")
+        total = sum(bins.tolist())  # exact, where an int64 sum wraps
+        if total * MAX_INTENSITY**2 > np.iinfo(np.int64).max:  # no moment exceeds it
+            raise ValueError(f"histogram of {total} pixels is too large for int64 moments")
         bins.flags.writeable = False
         object.__setattr__(self, "bins", bins)
-        object.__setattr__(self, "total", int(bins.sum()))
+        object.__setattr__(self, "total", total)
 
     @classmethod
     def _owning(cls, bins: np.ndarray, total: int) -> "Histogram":
@@ -279,40 +284,21 @@ def _sample(data: bytes, pos: int, maxval: int) -> int:
 _P2_BLOCK = 1 << 15
 
 
-def _comment_mask(data: bytes, start: int, stop: int, in_comment: bool):
-    """True on bytes of ``data[start:stop]`` in comments, None if there are none.
+def _p2_block_samples(window: bytes, wanted: int, maxval: int) -> np.ndarray:
+    """Values of the first ``wanted`` tokens in ``window``, in which every comment is closed.
 
-    A comment runs from a ``#``, or from ``start`` if ``in_comment``, up to a ``\\n`` or ``\\r``.
+    Comments are cut by the header's pattern. Tokens of one to three digits
+    after any leading zeros are decoded with array operations. An odd token,
+    one that is longer, holds a non-digit byte or exceeds ``maxval``, is
+    malformed: the first one in stream order is re-read on its own through
+    ``_sample``, which names it with the message the header reader gives.
     """
-    if not in_comment and data.find(b"#", start, stop) < 0:
-        return None
-    body = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
-    hashes = np.cumsum(body == ord("#")) + in_comment
-    line_ends = (body == ord("\n")) | (body == ord("\r"))
-    # hashes seen up to the last line end at or before each byte
-    line_start = np.maximum.accumulate(np.where(line_ends, hashes, 0))
-    return hashes > line_start
-
-
-def _p2_block_samples(
-    data: bytes, start: int, stop: int, wanted: int, maxval: int, in_comment: bool
-) -> tuple[np.ndarray, bool]:
-    """Values of the first ``wanted`` tokens in ``data[start:stop]``, and whether a comment
-    is open at ``stop``; ``in_comment`` says whether one is open at ``start``.
-
-    Tokens of one to three digits after any leading zeros are decoded with
-    array operations. An odd token, one that is longer, holds a non-digit
-    byte or exceeds ``maxval``, is malformed: the first one in stream order
-    is re-read on its own through ``_header_int``, which names it with the
-    message the header reader gives.
-    """
-    body = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+    if b"#" in window:
+        window = _COMMENT.sub(b" ", window)
+    body = np.frombuffer(window, dtype=np.uint8)
     digit = body - np.uint8(ord("0"))  # wraps, so below 10 exactly on digits
     space = body - np.uint8(9) < 5  # tab, newline, vertical tab, form feed, return
     space |= body == ord(" ")
-    comment = _comment_mask(data, start, stop, in_comment)
-    if comment is not None:
-        space |= comment
     in_token = np.zeros(body.size + 2, dtype=bool)
     np.logical_not(space, out=in_token[1:-1])
     edges = np.flatnonzero(in_token[1:] != in_token[:-1])  # alternating token start, token end
@@ -333,8 +319,8 @@ def _p2_block_samples(
     if ends.size and other[: ends[-1]].any():
         odd |= np.logical_or.reduceat(other[: ends[-1]], starts)
     if odd.any():  # read on its own, an odd token raises
-        _sample(data, start + int(starts[odd.argmax()]), maxval)
-    return values, comment is not None and bool(comment[-1])
+        _sample(window, int(starts[odd.argmax()]), maxval)
+    return values
 
 
 def _decode_p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
@@ -345,21 +331,25 @@ def _decode_p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndar
     before ``count`` samples.
     """
     pixels = np.empty(count, dtype=np.uint8)
-    done, start, in_comment = 0, pos, False
+    done, start = 0, pos
     while done < count:
         if start == len(data):
             raise PgmLengthError(f"raster holds {done} samples, expected {count}")
-        # a window widened to the end of the token it splits; a comment may span two
         cut = min(start + _P2_BLOCK, len(data))
-        stop = end = _TOKEN_RUN.match(data, cut).end()
-        if stop - cut > _P2_BLOCK:
-            # a token running more than a window on ends the window where it
-            # begins (``data[start]`` is a separator) and is read on its own
-            end = cut - _TOKEN_RUN.match(data[start:cut][::-1]).end()
-        values, in_comment = _p2_block_samples(data, start, end, count - done, maxval, in_comment)
+        # a "#" after the last line end before the cut opens a comment still open
+        # at the cut: the window ends at its "#", and the comment is skipped whole
+        line = max(data.rfind(b"\n", start, cut), data.rfind(b"\r", start, cut), start)
+        comment = data.find(b"#", line, cut)
+        if comment >= 0:
+            end, stop = comment, _COMMENT.match(data, comment).end()
+        else:  # a window widened to the end of the token it splits
+            stop = end = _TOKEN_RUN.match(data, cut).end()
+            if stop - cut > _P2_BLOCK:  # or ended where that token begins, to read it on its own
+                end = cut - _TOKEN_RUN.match(data[start:cut][::-1]).end()
+        values = _p2_block_samples(data[start:end], count - done, maxval)
         pixels[done : done + values.size] = values
         done += values.size
-        if end < stop and done < count and not in_comment:
+        if end < stop and done < count and comment < 0:
             pixels[done] = _sample(data, end, maxval)
             done += 1
         start = stop

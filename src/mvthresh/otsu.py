@@ -15,6 +15,7 @@ regardless of rounding.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,7 +129,10 @@ def otsu_multilevel_exhaustive(hist: Histogram, k: int) -> OtsuResult:
 
     Ties resolve to the lexicographically smallest tuple.
     """
-    k = int(k)
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"threshold count must be an integer, got {k!r}") from None
     if not 1 <= k <= 3:
         raise ValueError(f"threshold count must be in [1, 3], got {k}")
     if hist.total == 0:

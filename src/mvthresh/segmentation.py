@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -54,6 +55,10 @@ class SegmentationParams:
     replacement: Replacement = Replacement.WEIGHTED_MEAN
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"threshold count must be an integer, got {self.n!r}") from None
         if self.n % 2 == 0 or self.n < 3:
             raise ValueError(f"threshold count must be an odd integer >= 3, got {self.n}")
         schedule = tuple((float(k1), float(k2)) for k1, k2 in self.kappa_schedule)
@@ -287,7 +292,7 @@ def auto_select_n(
     r, _, _ = next(passes)
     frozen = 0
     sweep: list[SweepPoint] = []
-    for n in range(3, n_max + 1, 2):
+    for n in range(3, widest.n + 1, 2):
         start = time.perf_counter()
         state = next(passes, None)
         if state is not None:
@@ -301,4 +306,4 @@ def auto_select_n(
             return n, sweep
         if len(sweep) > 1 and value - sweep[-2].psnr_db < epsilon:
             return sweep[-2].n, sweep
-    return n_max, sweep
+    return widest.n, sweep

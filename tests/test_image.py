@@ -276,9 +276,14 @@ class TestAsciiRaster:
     @example((b"P2 2 2 255", b"\n1\t#c\n\n\n\n\n2", 4))
     @example((b"P2 1 1 255", b" 00000000120000000025600000000256x", 1))
     @example((b"P2 1 1 255", b" 0000000012" + b"00000000256" * 3, 1))
-    @pytest.mark.parametrize("block", [image_module._P2_BLOCK, 3])
+    @example((b"P2 2 1 255", b"\n1 #c\n2", 2))  # a "#" exactly at the 3-byte cut
+    @example((b"P2 2 1 255", b"\n1#c\n2", 2))  # at the 2-byte cut, just before the 3-byte one
+    @example((b"P2 2 1 255", b"\n12#c\r3", 2))
+    @example((b"P2 2 1 255", b"\n1 #" + b"c" * (image_module._P2_BLOCK + 8) + b"\n2", 2))
+    @pytest.mark.parametrize("block", [image_module._P2_BLOCK, 3, 2, 1])
     def test_matches_reference_decoder(self, block, case):
-        # a 3-byte block size splits the raster at nearly every newline
+        # blocks of 1 to 3 bytes split the raster at nearly every byte, so
+        # nearly every example has a comment or token longer than a window
         header, raster, count = case
         with mock.patch.object(image_module, "_P2_BLOCK", block):
             try:
@@ -561,6 +566,26 @@ class TestHistogram:
         assert hist.bins.dtype == np.int64
         assert not hist.bins.flags.writeable
         assert (hist.bins[0], hist.total) == (1, 256)
+
+    @pytest.mark.parametrize(
+        "mass", [{0: 2**62, 1: 2**62}, {0: 2**50, 255: 2**50}], ids=["total", "moment"]
+    )
+    def test_counts_whose_moments_overflow_int64_are_rejected(self, mass):
+        """A total that would wrap, or moments that would: S2 reaches total * 255^2."""
+        bins = np.zeros(256, dtype=np.int64)
+        for value, count in mass.items():
+            bins[value] = count
+        with pytest.raises(ValueError, match=f"^histogram of {sum(mass.values())} pixels "):
+            Histogram(bins)
+
+    def test_largest_total_keeps_exact_moments(self):
+        bins = np.zeros(256, dtype=np.int64)
+        bins[255] = (2**63 - 1) // 255**2
+        hist = Histogram(bins)
+        assert hist.moments[2][-1] == hist.total * 255**2
+        bins[0] = 1
+        with pytest.raises(ValueError):
+            Histogram(bins)
 
     @pytest.mark.parametrize("width,height", [(1, 1), (3, 5), (1025, 3)])
     def test_counted_bins_are_frozen_in_place(self, monkeypatch, width, height):

@@ -111,7 +111,7 @@ class TestMultilevel:
         result = otsu_multilevel_exhaustive(hist, 3)
         assert result.thresholds == (10, 90, 170)
 
-    @pytest.mark.parametrize("k", [0, 4, -1])
+    @pytest.mark.parametrize("k", [0, 4, -1, 1.9, 2.0, "2"])
     def test_rejects_out_of_range_k(self, k):
         with pytest.raises(ValueError):
             otsu_multilevel_exhaustive(spikes((5, 5)), k)

@@ -49,10 +49,15 @@ def result_classes(result):
 
 
 class TestParams:
-    @pytest.mark.parametrize("n", [0, 1, 2, 4, 8])
+    @pytest.mark.parametrize("n", [0, 1, 2, 4, 8, 3.0, 3.5, "3", None])
     def test_rejects_non_odd_levels(self, n):
         with pytest.raises(ValueError):
             SegmentationParams(n=n)
+
+    def test_integer_count_is_stored_as_int(self):
+        params = SegmentationParams(n=np.int64(5))
+        assert type(params.n) is int and params.n == 5
+        assert json.loads(json.dumps(params.to_dict()))["levels"] == 5
 
     def test_rejects_empty_schedule(self):
         with pytest.raises(ValueError):
@@ -463,6 +468,15 @@ class TestAutoSelect:
             auto_select_n(img, SegmentationParams(n=3), 0.0, 9)
         with pytest.raises(ValueError):
             auto_select_n(img, SegmentationParams(n=3), 0.5, 8)
+
+    def test_n_max_must_be_an_integer(self):
+        img = GrayImage(2, 2, [0, 1, 2, 3])
+        with pytest.raises(ValueError, match="must be an integer"):
+            auto_select_n(img, SegmentationParams(n=3), 1e-12, 7.0)
+        chosen, sweep = auto_select_n(img, SegmentationParams(n=3), 1e-12, np.int64(7))
+        want, rows = auto_select_n(img, SegmentationParams(n=3), 1e-12, 7)
+        assert type(chosen) is int and chosen == want
+        assert [p.psnr_db for p in sweep] == [p.psnr_db for p in rows]
 
 
 class TestComplexity:
