@@ -26,8 +26,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
 
-BENCH_RUNS = 20
-
 
 def _parse_kappa_schedule(text: str) -> tuple[tuple[float, float], ...]:
     """Parse ``k1:k2,k1:k2,...`` into per-pass kappa pairs."""
@@ -177,19 +175,13 @@ def _parse_levels_list(text: str) -> list[int]:
 
 
 def cmd_bench(args) -> int:
-    schedule = ((args.kappa, args.kappa),)
-    level_params = [
-        SegmentationParams(n=n, kappa_schedule=schedule)
-        for n in _parse_levels_list(args.levels)
-    ]
+    level_params = [SegmentationParams(n=n) for n in _parse_levels_list(args.levels)]
     paths = _bench_inputs(args.input)
     rows = []
     for path in paths:
         image = _load_image(str(path))
         for params in level_params:
-            (hist, result, _), elapsed = median_elapsed_ms(
-                segment_pixels, image, params, runs=BENCH_RUNS
-            )
+            (hist, result, _), elapsed = median_elapsed_ms(segment_pixels, image, params)
             value = psnr_from_mse(class_error(hist, result.classes) / hist.total)
             rows.append(
                 {
@@ -248,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="median-of-20 timing table over a corpus")
     bench.add_argument("--input", nargs="+", required=True, help="PGM files or directories")
     bench.add_argument("--levels", default="3,5,7,9")
-    bench.add_argument("--kappa", type=float, default=1.0)
     bench.add_argument("--csv", required=True)
 
     return parser

@@ -126,16 +126,19 @@ class Histogram:
 
     def __post_init__(self):
         raw = np.asarray(self.bins)
-        if raw.dtype.kind not in "iu":
+        counts = raw.ravel().tolist()  # exact, where an int64 cast wraps a count of 2^63 or more
+        total = sum(counts) if raw.dtype.kind in "iu" or all(type(c) is int for c in counts) else 0
+        too_large = total * MAX_INTENSITY**2 > np.iinfo(np.int64).max  # a moment would wrap
+        # a list holding a count of 2^64 or more is an object array, rejected as too large
+        if raw.dtype.kind not in "iu" and not too_large:
             raise ValueError(f"histogram counts must be integers, got dtype {raw.dtype}")
-        bins = np.array(raw, dtype=np.int64)
-        if bins.shape != (LEVELS,):
-            raise ValueError(f"histogram needs exactly {LEVELS} bins, got shape {bins.shape}")
-        if bins.min() < 0:
+        if raw.shape != (LEVELS,):
+            raise ValueError(f"histogram needs exactly {LEVELS} bins, got shape {raw.shape}")
+        if min(counts) < 0:
             raise ValueError("histogram counts must be non-negative")
-        total = sum(bins.tolist())  # exact, where an int64 sum wraps
-        if total * MAX_INTENSITY**2 > np.iinfo(np.int64).max:  # no moment exceeds it
+        if too_large:
             raise ValueError(f"histogram of {total} pixels is too large for int64 moments")
+        bins = np.array(raw, dtype=np.int64)
         bins.flags.writeable = False
         object.__setattr__(self, "bins", bins)
         object.__setattr__(self, "total", total)
@@ -272,11 +275,11 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     return int(digits or b"0"), pos
 
 
-def _sample(data: bytes, pos: int, maxval: int) -> int:
-    """The sample token at ``data[pos]`` read on its own, with the header reader's messages."""
+def _sample(data: bytes, pos: int) -> int:
+    """The sample token at ``data[pos]``, at most 255 (the one maxval), read on its own."""
     value, _ = _header_int(data, pos, "sample")
-    if value > maxval:
-        raise PgmFormatError(f"sample {value} exceeds maxval {maxval}")
+    if value > MAX_INTENSITY:
+        raise PgmFormatError(f"sample {value} exceeds maxval {MAX_INTENSITY}")
     return value
 
 
@@ -284,12 +287,12 @@ def _sample(data: bytes, pos: int, maxval: int) -> int:
 _P2_BLOCK = 1 << 15
 
 
-def _p2_block_samples(window: bytes, wanted: int, maxval: int) -> np.ndarray:
+def _p2_block_samples(window: bytes, wanted: int) -> np.ndarray:
     """Values of the first ``wanted`` tokens in ``window``, in which every comment is closed.
 
     Comments are cut by the header's pattern. Tokens of one to three digits
-    after any leading zeros are decoded with array operations. An odd token,
-    one that is longer, holds a non-digit byte or exceeds ``maxval``, is
+    after any leading zeros are decoded with array operations. An odd token
+    (longer, holding a non-digit byte, or over 255, the one maxval) is
     malformed: the first one in stream order is re-read on its own through
     ``_sample``, which names it with the message the header reader gives.
     """
@@ -313,17 +316,17 @@ def _p2_block_samples(window: bytes, wanted: int, maxval: int) -> np.ndarray:
     for place, scale in ((1, 10), (2, 100)):
         digits = digit.take(last - place, mode="clip").astype(np.uint16)  # masked if short
         values += digits * scale * (widths > place)
-    odd = (widths > 3) | (values > maxval)
+    odd = (widths > 3) | (values > MAX_INTENSITY)
     # a token byte that is no digit; reduceat is slow, so it runs only if there is one
     other = (digit >= 10) & in_token[1:-1]
     if ends.size and other[: ends[-1]].any():
         odd |= np.logical_or.reduceat(other[: ends[-1]], starts)
     if odd.any():  # read on its own, an odd token raises
-        _sample(window, int(starts[odd.argmax()]), maxval)
+        _sample(window, int(starts[odd.argmax()]))
     return values
 
 
-def _decode_p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
+def _decode_p2_raster(data: bytes, pos: int, count: int) -> np.ndarray:
     """The first ``count`` ASCII samples after ``data[pos]``, block by block.
 
     Raises for the first malformed sample in stream order, with the message
@@ -346,11 +349,11 @@ def _decode_p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndar
             stop = end = _TOKEN_RUN.match(data, cut).end()
             if stop - cut > _P2_BLOCK:  # or ended where that token begins, to read it on its own
                 end = cut - _TOKEN_RUN.match(data[start:cut][::-1]).end()
-        values = _p2_block_samples(data[start:end], count - done, maxval)
+        values = _p2_block_samples(data[start:end], count - done)
         pixels[done : done + values.size] = values
         done += values.size
         if end < stop and done < count and comment < 0:
-            pixels[done] = _sample(data, end, maxval)
+            pixels[done] = _sample(data, end)
             done += 1
         start = stop
     return pixels
@@ -391,7 +394,7 @@ def read_pgm(data) -> GrayImage:
         available = len(data) - pos
         if available < 2 * count - 1:
             raise PgmLengthError(f"raster of {available} bytes cannot hold {count} samples")
-        pixels = _decode_p2_raster(data, pos, count, maxval)
+        pixels = _decode_p2_raster(data, pos, count)
 
     return GrayImage._owning(width, height, pixels)
 

@@ -84,25 +84,23 @@ def _terms(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _scored_blocks(counts, weighted, k: int):
     """Yield (origin, j) blocks scoring every ascending k-tuple exactly once.
 
-    ``j[i]`` scores the thresholds ``origin + i``; entries that are not
-    ascending, or whose classes a smaller tuple already scores, hold -inf.
-    Blocks come in lexicographic order of their tuples, and so do the
-    entries of a block in C order.
+    ``j[i]`` scores the thresholds ``origin + i`` from the one class table,
+    row 0 of it for k=1; entries that are not ascending, or whose classes a
+    smaller tuple already scores, hold its -inf. Blocks come in lexicographic
+    order of their tuples, and so do the entries of a block in C order.
     """
     c = np.asarray(counts, dtype=np.float64)
     s = np.asarray(weighted, dtype=np.float64)
     occupied = c[1:] > c[:-1]
-    # last[t]: the top class [t+1, 255] above a cut at t
-    last = _terms(s[-1] - s[1:-1], c[-1] - c[1:-1])
-    if k == 1:
-        head = _terms(s[1:-1] - s[0], c[1:-1] - c[0])  # table[0, :255], masked alike
-        head[1:][~occupied[1:-1]] = -np.inf
-        yield (0,), head + last
-        return
     # table[u, v]: class [u, v]'s term after a cut at u - 1, -inf unless the
     # cut at v is right after it (v = u) or at an occupied bin (v > u)
     table = _terms(s[None, 1:] - s[:-1, None], c[None, 1:] - c[:-1, None])
     table[~(np.eye(LEVELS, dtype=bool) | np.triu(occupied, 1))] = -np.inf
+    # last[t]: the top class [t+1, 255] above a cut at t
+    last = _terms(s[-1] - s[1:-1], c[-1] - c[1:-1])
+    if k == 1:
+        yield (0,), table[0, : _CUT_MAX + 1] + last
+        return
     # tail[t, u]: the two top classes above cuts t < u
     tail = table[1:, : _CUT_MAX + 1] + last
     if k == 2:

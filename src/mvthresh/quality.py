@@ -14,11 +14,9 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .image import GrayImage
+from .image import MAX_INTENSITY, GrayImage
 
 T = TypeVar("T")
-
-PEAK = 255
 
 
 def mse(a: GrayImage, b: GrayImage) -> float:
@@ -35,7 +33,7 @@ def psnr_from_mse(err: float) -> float:
     """Peak signal-to-noise ratio in dB for an MSE; math.inf when it is 0."""
     if err == 0.0:
         return math.inf
-    return 10.0 * math.log10(PEAK * PEAK / err)
+    return 10.0 * math.log10(MAX_INTENSITY * MAX_INTENSITY / err)
 
 
 def psnr(a: GrayImage, b: GrayImage) -> float:

@@ -188,13 +188,6 @@ def _middle(hist: Histogram, r: SubRange, mode: Replacement):
     return split, ((low, _class_value(hist, low, mode)), (high, _class_value(hist, high, mode)))
 
 
-def _result(hist: Histogram, r: SubRange, lower, upper, mode: Replacement) -> SegmentationResult:
-    """Split the residual at its rounded mean; join the frozen classes around it."""
-    split, middle = _middle(hist, r, mode)
-    thresholds = tuple(iv.hi for iv, _ in lower) + (split,) + tuple(iv.lo for iv, _ in upper)
-    return SegmentationResult(thresholds=thresholds, classes=lower + middle + upper)
-
-
 def segment(hist: Histogram, params: SegmentationParams) -> SegmentationResult:
     """Run the recursive segmentation over a histogram.
 
@@ -204,8 +197,10 @@ def segment(hist: Histogram, params: SegmentationParams) -> SegmentationResult:
     """
     if hist.total == 0:
         raise ValueError("cannot segment an empty image")
-    *_, state = _passes(hist, params)
-    return _result(hist, *state, params.replacement)
+    *_, (r, lower, upper) = _passes(hist, params)
+    split, middle = _middle(hist, r, params.replacement)
+    thresholds = tuple(iv.hi for iv, _ in lower) + (split,) + tuple(iv.lo for iv, _ in upper)
+    return SegmentationResult(thresholds=thresholds, classes=lower + middle + upper)
 
 
 def apply_mapping(image: GrayImage, result: SegmentationResult) -> GrayImage:

@@ -485,6 +485,22 @@ class _FullDisk:
             self.write(chunk)
 
 
+def test_interrupted_write_propagates_and_leaves_no_temporary(tmp_path):
+    target = tmp_path / "old"
+    target.write_bytes(b"an earlier run's table")
+    interrupt = KeyboardInterrupt()
+
+    def chunks():
+        yield b"half a table"
+        raise interrupt
+
+    with pytest.raises(KeyboardInterrupt) as raised:
+        cli_module._replace_files({str(target): chunks()})
+    assert raised.value is interrupt
+    assert target.read_bytes() == b"an earlier run's table"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old"]
+
+
 @pytest.mark.parametrize(
     "first,second",
     [
@@ -545,6 +561,16 @@ class TestBenchCommand:
              "--csv", str(tmp_path / "b.csv")]
         )
         assert code == EXIT_USAGE
+
+    def test_kappa_is_no_bench_flag(self, tmp_path, blob_pgm, capsys):
+        """bench times the default kappa schedule only; argparse rejects the flag."""
+        out_csv = tmp_path / "b.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--input", str(blob_pgm), "--levels", "3", "--kappa", "1.0",
+                  "--csv", str(out_csv)])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --kappa 1.0" in capsys.readouterr().err
+        assert not out_csv.exists()
 
 
 class TestReportRoundTrip:

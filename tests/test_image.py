@@ -223,6 +223,11 @@ class TestReadPgm:
         img = read_pgm(b"P5 1 1 255\n" + bytes([42]) + b"\n")
         assert list(img.pixels) == [42]
 
+    @pytest.mark.parametrize("data", [b"P5 1 1 255#\x07", b"P5 1 1 255"], ids=["comment", "end"])
+    def test_binary_raster_needs_one_separator(self, data):
+        with pytest.raises(PgmFormatError, match="^missing separator before binary raster$"):
+            read_pgm(data)
+
     def test_binary_raster_outlives_a_mutable_buffer(self):
         data = bytearray(b"P5 3 2 255\n" + bytes(range(6)) + b"trailing")
         img = read_pgm(data)
@@ -463,6 +468,14 @@ class TestGrayImage:
         with pytest.raises(ValueError):
             GrayImage(0, 1, [])
 
+    def test_rejects_float_intensities(self):
+        with pytest.raises(ValueError, match="^intensities must be integers, got dtype float64$"):
+            GrayImage(2, 1, np.array([1.0, 2.0]))
+
+    def test_from_array_rejects_one_dimension(self):
+        with pytest.raises(ValueError, match="^expected a 2-D array, got ndim=1$"):
+            GrayImage.from_array(np.arange(6))
+
     def test_from_array_round_trip(self):
         arr = np.arange(6, dtype=np.uint8).reshape(2, 3)
         img = GrayImage.from_array(arr)
@@ -576,6 +589,22 @@ class TestHistogram:
         for value, count in mass.items():
             bins[value] = count
         with pytest.raises(ValueError, match=f"^histogram of {sum(mass.values())} pixels "):
+            Histogram(bins)
+
+    @pytest.mark.parametrize(
+        "bins, total",
+        [
+            (np.array([2**63] + [0] * 255, dtype=np.uint64), 2**63),
+            (np.array([0] * 255 + [2**64 - 1], dtype=np.uint64), 2**64 - 1),
+            ([2**64] + [1] * 255, 2**64 + 255),
+        ],
+        ids=["uint64-2^63", "uint64-max", "list-2^64"],
+    )
+    def test_counts_past_int64_are_rejected_for_their_total(self, bins, total):
+        """The checks read the exact counts, not an int64 cast that wraps them negative."""
+        with pytest.raises(
+            ValueError, match=f"^histogram of {total} pixels is too large for int64 moments$"
+        ):
             Histogram(bins)
 
     def test_largest_total_keeps_exact_moments(self):

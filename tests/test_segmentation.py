@@ -313,6 +313,20 @@ class TestSegmentationResult:
                 classes=((SubRange(0, 255), 10),),
             )
 
+    @pytest.mark.parametrize(
+        "thresholds, classes, message",
+        [
+            ((), ((SubRange(0, 255), 10),), "thresholds and classes must be non-empty"),
+            ((256,), ((SubRange(0, 255), 10),), r"threshold 256 outside \[0, 255\]"),
+            ((100,), ((SubRange(0, 100), 50), (SubRange(101, 200), 150)),
+             r"classes must cover \[0, 255\] completely"),
+        ],
+        ids=["empty", "threshold-256", "short-classes"],
+    )
+    def test_rejects_each_bad_part_with_its_message(self, thresholds, classes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SegmentationResult(thresholds=thresholds, classes=classes)
+
     def test_value_objects_are_unhashable(self):
         """Each compares by value and defines no hash, so none can key a dict or join a set."""
         img = GrayImage(2, 2, [0, 1, 2, 3])
