@@ -177,28 +177,19 @@ def _parse_levels_list(text: str) -> list[int]:
 def cmd_bench(args) -> int:
     level_params = [SegmentationParams(n=n) for n in _parse_levels_list(args.levels)]
     paths = _bench_inputs(args.input)
-    rows = []
+    rows = [["image", "n", "thresholds", "elapsed_ms", "psnr_db"]]
     for path in paths:
         image = _load_image(str(path))
         for params in level_params:
             (hist, result, _), elapsed = median_elapsed_ms(segment_pixels, image, params)
             value = psnr_from_mse(class_error(hist, result.classes) / hist.total)
-            rows.append(
-                {
-                    "image": str(path),
-                    "n": params.n,
-                    "thresholds": " ".join(str(t) for t in result.thresholds),
-                    "elapsed_ms": f"{elapsed:.3f}",
-                    "psnr_db": format_db(value, 4),
-                }
-            )
+            thresholds = " ".join(str(t) for t in result.thresholds)
+            rows.append([str(path), params.n, thresholds, f"{elapsed:.3f}", format_db(value, 4)])
     text = io.StringIO()
-    writer = csv.DictWriter(text, fieldnames=["image", "n", "thresholds", "elapsed_ms", "psnr_db"])
-    writer.writeheader()
-    writer.writerows(rows)
+    csv.writer(text).writerows(rows)
     _replace_files({args.csv: (text.getvalue().encode("utf-8"),)})
-    for row in rows:
-        print(f"{row['image']} n={row['n']} {row['elapsed_ms']} ms psnr={row['psnr_db']}")
+    for image, n, _, elapsed_ms, psnr_db in rows[1:]:
+        print(f"{image} n={n} {elapsed_ms} ms psnr={psnr_db}")
     return EXIT_OK
 
 

@@ -240,17 +240,6 @@ _TOKEN_RUN = re.compile(rb"[^ \t\n\r\x0b\x0c#]*")
 _COMMENT = re.compile(rb"#[^\n\r]*")
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Token after whitespace/comment runs; returns (token, index past it)."""
-    pos = _SPACE_RUN.match(data, pos).end()
-    while comment := _COMMENT.match(data, pos):
-        pos = _SPACE_RUN.match(data, comment.end()).end()
-    if pos >= len(data):
-        raise PgmFormatError("unexpected end of header")
-    end = _TOKEN_RUN.match(data, pos).end()
-    return data[pos:end], end
-
-
 # bytes of a bad token, or digits of a long number, that its error message
 # quotes: a longer one is cut, so that any input's message stays one short line
 _ECHO = 32
@@ -263,8 +252,14 @@ _DIGITS = _ECHO // 2
 
 
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    """The number at ``data[pos]``, read from its digits after any leading zeros."""
-    token, pos = _next_token(data, pos)
+    """The number after the whitespace and comments at ``data[pos]``, and the index past it."""
+    pos = _SPACE_RUN.match(data, pos).end()
+    while comment := _COMMENT.match(data, pos):
+        pos = _SPACE_RUN.match(data, comment.end()).end()
+    if pos >= len(data):
+        raise PgmFormatError("unexpected end of header")
+    end = _TOKEN_RUN.match(data, pos).end()
+    token = data[pos:end]
     if not token.isdigit():
         shown = repr(token) if len(token) <= _ECHO else f"{token[:_ECHO]!r}... ({len(token)} bytes)"
         raise PgmFormatError(f"bad {what} field: {shown}")
@@ -272,7 +267,7 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     if len(digits) > _DIGITS:
         shown = digits.decode() if len(digits) <= _ECHO else f"{digits[:_ECHO].decode()}..."
         raise PgmFormatError(f"{what} field too long: {shown} ({len(digits)} digits)")
-    return int(digits or b"0"), pos
+    return int(digits or b"0"), end
 
 
 def _sample(data: bytes, pos: int) -> int:

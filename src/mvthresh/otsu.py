@@ -150,12 +150,12 @@ def otsu_multilevel_exhaustive(hist: Histogram, k: int) -> OtsuResult:
             continue
         hit = np.flatnonzero(j >= cutoff)
         cuts = [axis + at for axis, at in zip(np.unravel_index(hit, j.shape), origin)]
-        near.append((j.ravel()[hit], np.column_stack(cuts)))
-    scores = np.concatenate([s for s, _ in near])
-    tuples = np.concatenate([ts for _, ts in near])[scores >= cutoff]
+        near += zip(j.ravel()[hit].tolist(), map(tuple, np.column_stack(cuts).tolist()))
 
     # max() returns the first of equal maxima: the lexicographic tie-break
-    best_tuple = max(map(tuple, tuples.tolist()), key=lambda ts: _exact_j(hist, ts))
+    best_tuple = max(
+        (ts for score, ts in near if score >= cutoff), key=lambda ts: _exact_j(hist, ts)
+    )
     return OtsuResult(thresholds=best_tuple, criterion=between_class_variance(hist, best_tuple))
 
 

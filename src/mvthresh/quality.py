@@ -41,14 +41,14 @@ def psnr(a: GrayImage, b: GrayImage) -> float:
     return psnr_from_mse(mse(a, b))
 
 
-def timed(fn: Callable[..., T], *args, **kwargs) -> tuple[T, float]:
+def timed(fn: Callable[..., T], *args) -> tuple[T, float]:
     """Run ``fn`` once; returns (result, elapsed ms) on the monotonic clock."""
     start = time.perf_counter()
-    out = fn(*args, **kwargs)
+    out = fn(*args)
     return out, (time.perf_counter() - start) * 1000.0
 
 
-def median_elapsed_ms(fn: Callable[..., T], *args, runs: int = 20, **kwargs) -> tuple[T, float]:
+def median_elapsed_ms(fn: Callable[..., T], *args, runs: int = 20) -> tuple[T, float]:
     """Median wall-clock over ``runs`` sequential warm executions.
 
     Returns the last run's result, which for pure operations equals every
@@ -59,7 +59,7 @@ def median_elapsed_ms(fn: Callable[..., T], *args, runs: int = 20, **kwargs) -> 
     times = []
     out = None
     for _ in range(runs):
-        out, elapsed = timed(fn, *args, **kwargs)
+        out, elapsed = timed(fn, *args)
         times.append(elapsed)
     return out, statistics.median(times)
 

@@ -392,7 +392,7 @@ class TestSweepCommand:
         assert chosen <= 9
 
         psnrs = []
-        for row in csv.DictReader(out_csv.open()):
+        for row in csv.DictReader(out_csv.read_text().splitlines()):
             assert float(row["elapsed_ms"]) >= 0
             psnrs.append(float(row["psnr_db"]))
         # empirical on this corpus (not a universal law): more levels, no worse
@@ -533,8 +533,12 @@ class TestBenchCommand:
             ["bench", "--input", str(corpus), "--levels", "3,5,7,9", "--csv", str(out_csv)]
         )
         assert code == EXIT_OK
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = list(csv.DictReader(out_csv.read_text().splitlines()))
         assert len(rows) == 16  # 4 images x 4 levels
+        # stdout holds one line per row, with the row's values, in the CSV's order
+        assert capsys.readouterr().out.splitlines() == [
+            f"{r['image']} n={r['n']} {r['elapsed_ms']} ms psnr={r['psnr_db']}" for r in rows
+        ]
         assert [r["image"] for r in rows] == sorted(r["image"] for r in rows)
         assert [int(r["n"]) for r in rows[:4]] == [3, 5, 7, 9]
         assert all(float(r["elapsed_ms"]) >= 0 for r in rows)

@@ -334,6 +334,8 @@ class TestSegmentationResult:
         for value in (img, hist, segment(hist, SegmentationParams(n=3))):
             with pytest.raises(TypeError):
                 hash(value)
+            assert value != "x"
+            assert value.__eq__(object()) is NotImplemented
 
 
 class TestMeanOptimality:
