@@ -1,7 +1,9 @@
 """Command-line front end: segment images, sweep PSNR vs n, Otsu, benchmark.
 
-Exit codes: 0 success, 1 unreadable or malformed input file, 2 any flag value
-the library rejects (``main`` maps its ``ValueError`` to exit 2).
+Exit codes: 0 success; 1 an unreadable or malformed input file, or any other
+``OSError``, such as an ``--output``, ``--report`` or ``--csv`` that cannot be
+written; 2 any flag value the library rejects (``main`` maps its ``ValueError``
+to exit 2).
 All output is deterministic for identical inputs; only timings vary.
 """
 
@@ -47,7 +49,7 @@ def _segmentation_params(args) -> SegmentationParams:
     return SegmentationParams(
         n=args.levels,
         kappa_schedule=schedule,
-        replacement=Replacement(args.replacement),
+        replacement=args.replacement,
     )
 
 

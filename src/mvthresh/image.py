@@ -25,6 +25,7 @@ on, which is read on its own.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -60,6 +61,12 @@ class GrayImage:
     pixels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"image {name} must be an integer, got {value!r}") from None
         if self.width < 1 or self.height < 1:
             raise ValueError(f"image dimensions must be positive, got {self.width}x{self.height}")
         raw = np.asarray(self.pixels)

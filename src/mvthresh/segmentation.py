@@ -68,6 +68,7 @@ class SegmentationParams:
             if not (math.isfinite(k1) and k1 > 0.0 and math.isfinite(k2) and k2 > 0.0):
                 raise ValueError(f"kappa values must be positive and finite, got ({k1}, {k2})")
         object.__setattr__(self, "kappa_schedule", schedule)
+        object.__setattr__(self, "replacement", Replacement(self.replacement))
 
     @property
     def passes(self) -> int:

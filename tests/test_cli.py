@@ -1,6 +1,7 @@
 import csv
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import mvthresh.quality as quality_module
 from mvthresh.cli import main
 from mvthresh.image import GrayImage, read_pgm, write_pgm
 from mvthresh.quality import psnr_from_mse
-from mvthresh.synthetic import soft_blobs
+from mvthresh.synthetic import GENERATORS, soft_blobs
 
 from conftest import pgm_bytes
 
@@ -37,6 +38,13 @@ def constant_pgm(tmp_path):
     path = tmp_path / "flat.pgm"
     path.write_bytes(write_pgm(GrayImage(16, 16, np.full(256, 100))))
     return path
+
+
+def p5_samples(path):
+    """The samples of a P5 file, read with numpy alone."""
+    data = path.read_bytes()
+    width, height = map(int, data.split(maxsplit=3)[1:3])
+    return np.frombuffer(data, np.uint8, offset=len(data) - width * height).astype(np.int64)
 
 
 def two_spike_pgm(tmp_path):
@@ -211,17 +219,34 @@ class TestSegmentCommand:
         assert printed[0].startswith("thresholds:")
         assert printed[1] == printed[0]
 
-    def test_midpoint_replacement_never_beats_weighted_mean(self, tmp_path, blob_pgm):
+    @pytest.mark.parametrize("n", [3, 9, 15])
+    @pytest.mark.parametrize("stem", [*GENERATORS, "two-pixel"])
+    def test_midpoint_replacement_never_beats_weighted_mean(
+        self, tmp_path, natural_images, stem, n
+    ):
+        src = tmp_path / "in.pgm"
+        if stem == "two-pixel":
+            src.write_bytes(b"P5 2 1 255\n\x07\x80")
+        else:
+            src.write_bytes(write_pgm(natural_images[stem]))
         values = {}
         for mode in ("weighted-mean", "midpoint"):
-            report = tmp_path / f"{mode}.json"
+            out, report = tmp_path / f"{mode}.pgm", tmp_path / f"{mode}.json"
             assert main(
-                ["segment", "--input", str(blob_pgm), "--levels", "5",
+                ["segment", "--input", str(src), "--levels", str(n),
                  "--replacement", mode,
-                 "--output", str(tmp_path / f"{mode}.pgm"),
+                 "--output", str(out),
                  "--report", str(report)]
             ) == EXIT_OK
-            values[mode] = json.loads(report.read_text())["quality"]["mse"]
+            quality = json.loads(report.read_text())["quality"]
+            # the reported scores are the ones the two files give, recomputed without mvthresh
+            diff = p5_samples(src) - p5_samples(out)
+            err = int((diff * diff).sum()) / diff.size
+            assert quality["mse"] == err
+            assert (quality["psnr_db"] == "inf") == (err == 0)
+            if err:
+                assert float(quality["psnr_db"]) == 10 * math.log10(255 * 255 / err)
+            values[mode] = quality["mse"]
         assert values["weighted-mean"] <= values["midpoint"]
 
     def test_unwritable_report_leaves_no_output(self, tmp_path, blob_pgm, capsys):
@@ -724,6 +749,22 @@ def test_long_digit_header_field_is_io_error(tmp_path, capsys):
     assert code == EXIT_IO
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["segment", "--levels", "3", "--output", "q.pgm"],
+        ["sweep", "--max-levels", "5", "--epsilon", "0.3", "--csv", "s.csv"],
+        ["otsu", "--classes", "2"],
+    ],
+    ids=["segment", "sweep", "otsu"],
+)
+def test_one_pixel_raster(tmp_path, monkeypatch, argv):
+    """The pixel passes read byte pairs, and one pixel holds none."""
+    monkeypatch.chdir(tmp_path)
+    Path("one.pgm").write_bytes(b"P5 1 1 255\n\x07")
+    assert main([*argv, "--input", "one.pgm"]) == EXIT_OK
 
 
 @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -451,6 +451,7 @@ class TestWritePgm:
         assert len(data) - len(header) == 4
 
     @given(gray_images())
+    @example(GrayImage(np.int64(2), True, [1, 2]))  # dimensions stored as the ints they stand for
     def test_round_trip_identity(self, img):
         assert read_pgm(write_pgm(img)) == img
 
@@ -464,9 +465,10 @@ class TestGrayImage:
         with pytest.raises(ValueError):
             GrayImage(1, 2, [0, 300])
 
-    def test_rejects_zero_width(self):
+    @pytest.mark.parametrize("width, pixels", [(0, []), (2.0, [1, 2])], ids=["zero", "float"])
+    def test_rejects_zero_width(self, width, pixels):
         with pytest.raises(ValueError):
-            GrayImage(0, 1, [])
+            GrayImage(width, 1, pixels)
 
     def test_rejects_float_intensities(self):
         with pytest.raises(ValueError, match="^intensities must be integers, got dtype float64$"):

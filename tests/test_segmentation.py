@@ -89,6 +89,15 @@ class TestParams:
         assert params.to_dict() == payload
         assert json.loads(json.dumps(params.to_dict())) == payload
 
+    def test_replacement_named_by_its_value(self):
+        hist = Histogram(np.arange(256, dtype=np.int64))
+        by_name = SegmentationParams(n=5, replacement="midpoint")
+        assert by_name == SegmentationParams(n=5, replacement=Replacement.MIDPOINT)
+        assert segment(hist, by_name) != segment(hist, SegmentationParams(n=5))
+        assert by_name.to_dict()["replacement"] == "midpoint"
+        with pytest.raises(ValueError, match="'nonsense'"):
+            SegmentationParams(n=5, replacement="nonsense")
+
 
 class TestStepThresholds:
     def test_uniform_full_range(self):
