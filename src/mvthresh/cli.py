@@ -22,7 +22,7 @@ from pathlib import Path
 from .image import GrayImage, PgmError, _p5_header, compute_histogram, read_pgm
 from .otsu import otsu_multilevel_exhaustive
 from .quality import format_db, median_elapsed_ms, psnr_from_mse, timed
-from .segmentation import Replacement, SegmentationParams, auto_select_n, class_error, segment_pixels
+from .segmentation import Replacement, SegmentationParams, auto_select_n, segment_image
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -97,8 +97,8 @@ def cmd_segment(args) -> int:
     if args.report and os.path.realpath(args.report) == os.path.realpath(args.output):
         raise ValueError(f"--report {args.report} would overwrite --output {args.output}")
     image = _load_image(args.input)
-    (hist, result, quantized), elapsed = timed(segment_pixels, image, params)
-    err = class_error(hist, result.classes) / hist.total
+    (result, quantized), elapsed = timed(segment_image, image, params)
+    err = result.squared_error / image.pixels.size
     psnr_db = psnr_from_mse(err)
     files = {args.output: (_p5_header(quantized), quantized.pixels)}
     if args.report:
@@ -183,8 +183,8 @@ def cmd_bench(args) -> int:
     for path in paths:
         image = _load_image(str(path))
         for params in level_params:
-            (hist, result, _), elapsed = median_elapsed_ms(segment_pixels, image, params)
-            value = psnr_from_mse(class_error(hist, result.classes) / hist.total)
+            (result, _), elapsed = median_elapsed_ms(segment_image, image, params)
+            value = psnr_from_mse(result.squared_error / image.pixels.size)
             thresholds = " ".join(str(t) for t in result.thresholds)
             rows.append([str(path), params.n, thresholds, f"{elapsed:.3f}", format_db(value, 4)])
     text = io.StringIO()

@@ -52,6 +52,14 @@ class PgmLengthError(PgmError):
     """Pixel payload shorter than width*height."""
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int through ``operator.index``: a float or a str is a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class GrayImage:
     """Single-channel 8-bit raster, row-major with top-left origin."""
@@ -62,11 +70,7 @@ class GrayImage:
 
     def __post_init__(self):
         for name in ("width", "height"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"image {name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _integer(getattr(self, name), f"image {name}"))
         if self.width < 1 or self.height < 1:
             raise ValueError(f"image dimensions must be positive, got {self.width}x{self.height}")
         raw = np.asarray(self.pixels)

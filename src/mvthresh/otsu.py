@@ -15,13 +15,12 @@ regardless of rounding.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .image import LEVELS, MAX_INTENSITY, Histogram
+from .image import LEVELS, MAX_INTENSITY, Histogram, _integer
 from .stats import SubRange, _moments
 
 # maximizing sum(w_c * mu_c^2) is equivalent to maximizing the between-class
@@ -38,8 +37,8 @@ _CUT_MAX = MAX_INTENSITY - 1  # a threshold at 255 would leave an empty top clas
 
 
 def _checked_thresholds(thresholds) -> tuple[int, ...]:
-    """``thresholds`` as ints, rejected unless strictly increasing in [0, 254]."""
-    ts = tuple(int(t) for t in thresholds)
+    """``thresholds`` as ints, rejected unless integers strictly increasing in [0, 254]."""
+    ts = tuple(_integer(t, "threshold") for t in thresholds)
     if any(not 0 <= t <= _CUT_MAX for t in ts):
         raise ValueError(f"thresholds must lie in [0, 254]: {ts}")
     if any(a >= b for a, b in zip(ts, ts[1:])):
@@ -56,8 +55,8 @@ class OtsuResult:
 
     def __post_init__(self):
         object.__setattr__(self, "thresholds", _checked_thresholds(self.thresholds))
-        if self.criterion < 0.0:
-            raise ValueError("between-class variance cannot be negative")
+        if not self.criterion >= 0.0:  # NaN too
+            raise ValueError(f"between-class variance must be >= 0, got {self.criterion}")
 
 
 def between_class_variance(hist: Histogram, thresholds) -> float:
@@ -127,10 +126,7 @@ def otsu_multilevel_exhaustive(hist: Histogram, k: int) -> OtsuResult:
 
     Ties resolve to the lexicographically smallest tuple.
     """
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"threshold count must be an integer, got {k!r}") from None
+    k = _integer(k, "threshold count")
     if not 1 <= k <= 3:
         raise ValueError(f"threshold count must be in [1, 3], got {k}")
     if hist.total == 0:

@@ -15,13 +15,20 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .image import LEVELS, MAX_INTENSITY, GrayImage, Histogram, _map_pixels, compute_histogram
+from .image import (
+    LEVELS,
+    MAX_INTENSITY,
+    GrayImage,
+    Histogram,
+    _integer,
+    _map_pixels,
+    compute_histogram,
+)
 from .quality import psnr_from_mse
 from .stats import (
     RangeStats,
@@ -55,10 +62,7 @@ class SegmentationParams:
     replacement: Replacement = Replacement.WEIGHTED_MEAN
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "n", operator.index(self.n))
-        except TypeError:
-            raise ValueError(f"threshold count must be an integer, got {self.n!r}") from None
+        object.__setattr__(self, "n", _integer(self.n, "threshold count"))
         if self.n % 2 == 0 or self.n < 3:
             raise ValueError(f"threshold count must be an odd integer >= 3, got {self.n}")
         schedule = tuple((float(k1), float(k2)) for k1, k2 in self.kappa_schedule)
@@ -87,18 +91,29 @@ class SegmentationParams:
 
 @dataclass(frozen=True, eq=False)
 class SegmentationResult:
-    """Thresholds, class partition of [0,255], and the derived lookup table."""
+    """Thresholds, class partition of [0,255], its exact error and the derived lookup table.
+
+    ``squared_error`` is the exact integer sum, over the pixels, of the
+    squared difference to the value their class maps them to: divided by
+    the pixel count it is the MSE of the quantized raster, bit for bit.
+    """
 
     thresholds: tuple[int, ...]
     classes: tuple[tuple[SubRange, int], ...]
+    squared_error: int
     lut: np.ndarray = field(init=False, repr=False)
     effective_n: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "thresholds", tuple(self.thresholds))
-        object.__setattr__(self, "classes", tuple(self.classes))
+        thresholds = tuple(_integer(t, "threshold") for t in self.thresholds)
+        classes = tuple((iv, _integer(value, "class value")) for iv, value in self.classes)
+        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "squared_error", _integer(self.squared_error, "squared error"))
         if not self.thresholds or not self.classes:
             raise ValueError("thresholds and classes must be non-empty")
+        if self.squared_error < 0:
+            raise ValueError(f"squared error must be >= 0, got {self.squared_error}")
         for t in self.thresholds:
             if not 0 <= t <= MAX_INTENSITY:
                 raise ValueError(f"threshold {t} outside [0, 255]")
@@ -123,7 +138,8 @@ class SegmentationResult:
     def __eq__(self, other):
         if not isinstance(other, SegmentationResult):
             return NotImplemented
-        return self.thresholds == other.thresholds and self.classes == other.classes
+        parts = ("thresholds", "classes", "squared_error")
+        return all(getattr(self, part) == getattr(other, part) for part in parts)
 
 
 def step_thresholds(
@@ -154,15 +170,18 @@ def _class_value(hist: Histogram, interval: SubRange, mode: Replacement) -> int:
 
 
 def _passes(hist: Histogram, params: SegmentationParams):
-    """Yield (residual range, frozen lower classes, frozen upper classes).
+    """Yield (residual range, frozen lower classes, frozen upper classes, their error).
 
     One state comes before the first pass and one after each pass, until
     the first degenerate pass. Pass k never depends on how many follow.
+    The error is the exact integer squared error of the frozen classes,
+    which each pass grows by the :func:`class_error` of the two it freezes.
     """
     r = SubRange(0, MAX_INTENSITY)
     lower: tuple[tuple[SubRange, int], ...] = ()
     upper: tuple[tuple[SubRange, int], ...] = ()
-    yield r, lower, upper
+    frozen = 0
+    yield r, lower, upper, frozen
     for index in range(params.passes):
         cut = step_thresholds(range_stats(hist, r), r, *params.kappa_for(index))
         if cut is None:
@@ -172,8 +191,9 @@ def _passes(hist: Histogram, params: SegmentationParams):
         high_iv = SubRange(t2, r.hi)
         lower += ((low_iv, _class_value(hist, low_iv, params.replacement)),)
         upper = ((high_iv, _class_value(hist, high_iv, params.replacement)),) + upper
+        frozen += class_error(hist, (lower[-1], upper[0]))
         r = SubRange(t1 + 1, t2 - 1)
-        yield r, lower, upper
+        yield r, lower, upper, frozen
 
 
 def _middle(hist: Histogram, r: SubRange, mode: Replacement):
@@ -198,10 +218,11 @@ def segment(hist: Histogram, params: SegmentationParams) -> SegmentationResult:
     """
     if hist.total == 0:
         raise ValueError("cannot segment an empty image")
-    *_, (r, lower, upper) = _passes(hist, params)
+    *_, (r, lower, upper, frozen) = _passes(hist, params)
     split, middle = _middle(hist, r, params.replacement)
     thresholds = tuple(iv.hi for iv, _ in lower) + (split,) + tuple(iv.lo for iv, _ in upper)
-    return SegmentationResult(thresholds=thresholds, classes=lower + middle + upper)
+    classes = lower + middle + upper
+    return SegmentationResult(thresholds, classes, frozen + class_error(hist, middle))
 
 
 def apply_mapping(image: GrayImage, result: SegmentationResult) -> GrayImage:
@@ -209,25 +230,17 @@ def apply_mapping(image: GrayImage, result: SegmentationResult) -> GrayImage:
     return GrayImage._owning(image.width, image.height, _map_pixels(image.pixels, result.lut))
 
 
-def segment_pixels(
-    image: GrayImage, params: SegmentationParams
-) -> tuple[Histogram, SegmentationResult, GrayImage]:
-    """Full pipeline, keeping the histogram for histogram-domain quality.
-
-    These are the only two passes over the pixels: the histogram and the
-    mapping through the lookup table.
-    """
-    hist = compute_histogram(image)
-    result = segment(hist, params)
-    return hist, result, apply_mapping(image, result)
-
-
 def segment_image(
     image: GrayImage, params: SegmentationParams
 ) -> tuple[SegmentationResult, GrayImage]:
-    """Full pipeline: histogram, recursive cuts, quantized raster."""
-    _, result, quantized = segment_pixels(image, params)
-    return result, quantized
+    """Full pipeline: histogram, recursive cuts, quantized raster.
+
+    These are the only two passes over the pixels: the histogram and the
+    mapping through the lookup table. The quantized raster's MSE is the
+    result's ``squared_error`` divided by the pixel count.
+    """
+    result = segment(compute_histogram(image), params)
+    return result, apply_mapping(image, result)
 
 
 @dataclass(frozen=True)
@@ -272,12 +285,12 @@ def auto_select_n(
 
     The pixels are read once, for the histogram, and each pass runs once:
     n adds one pass to those of n-2 (after an early stop, none: the same
-    PSNR again ends the sweep). The squared error of the classes the passes
-    froze is kept as a running integer, to which each n adds the two
-    classes its pass freezes and then its middle classes, each from the
-    moment table in O(1) (:func:`class_error`). One division by the pixel
-    count gives the MSE that ``segment`` reports for that n, bit for bit,
-    without a lookup table or a quantized raster.
+    PSNR again ends the sweep). Each n adds its middle classes' error to
+    the frozen classes' error its pass state carries, as ``segment`` does,
+    from the moment table in O(1) (:func:`class_error`). One division by
+    the pixel count gives the MSE of ``segment``'s ``squared_error`` for
+    that n, bit for bit, without a result, a lookup table or a quantized
+    raster.
     """
     if not math.isfinite(epsilon) or epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -285,15 +298,12 @@ def auto_select_n(
     hist = compute_histogram(image)
     _ = hist.moments  # shared by every row, so built before the first is timed
     passes = _passes(hist, widest)
-    r, _, _ = next(passes)
-    frozen = 0
+    state = next(passes)
     sweep: list[SweepPoint] = []
     for n in range(3, widest.n + 1, 2):
         start = time.perf_counter()
-        state = next(passes, None)
-        if state is not None:
-            r, lower, upper = state
-            frozen += class_error(hist, (lower[-1], upper[0]))
+        state = next(passes, state)  # after an early stop, the last state again
+        r, _, _, frozen = state
         _, middle = _middle(hist, r, base.replacement)
         value = psnr_from_mse((frozen + class_error(hist, middle)) / hist.total)
         elapsed = (time.perf_counter() - start) * 1000.0

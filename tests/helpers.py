@@ -1,6 +1,16 @@
-"""Shared assertion helpers for the segmentation invariants."""
+"""Shared test helpers: spike histograms and the segmentation invariants."""
 
 import numpy as np
+
+from mvthresh.image import Histogram
+
+
+def spikes(*pairs):
+    """Histogram holding ``mass`` pixels at each ``(value, mass)``; repeated values add up."""
+    bins = np.zeros(256, dtype=np.int64)
+    for value, mass in pairs:
+        bins[value] += mass
+    return Histogram(bins)
 
 
 def assert_valid_partition(result, requested_n=None):

@@ -602,6 +602,27 @@ class TestBenchCommand:
         assert not out_csv.exists()
 
 
+def test_segment_and_bench_run_through_cli_segment_image(tmp_path, blob_pgm, monkeypatch):
+    """Every segmentation goes through the name ``cli`` looks up, so a hook on it sees each."""
+    calls = []
+    real = cli_module.segment_image
+
+    def counting(image, params):
+        calls.append(params.n)
+        return real(image, params)
+
+    monkeypatch.setattr(cli_module, "segment_image", counting)
+    assert main(
+        ["segment", "--input", str(blob_pgm), "--levels", "5", "--output", str(tmp_path / "o.pgm")]
+    ) == EXIT_OK
+    assert calls == [5]
+    calls.clear()
+    assert main(
+        ["bench", "--input", str(blob_pgm), "--levels", "3,5", "--csv", str(tmp_path / "b.csv")]
+    ) == EXIT_OK
+    assert calls == [3] * 20 + [5] * 20  # median of 20 runs per (image, n)
+
+
 class TestReportRoundTrip:
     def test_json_round_trip_preserves_everything(self, tmp_path, blob_pgm):
         report_path = tmp_path / "r.json"

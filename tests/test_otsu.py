@@ -15,14 +15,8 @@ from mvthresh.otsu import (
 )
 
 from conftest import histograms, sparse_histograms
+from helpers import spikes
 from oracles import bcv_fraction, brute_force_otsu
-
-
-def spikes(*pairs):
-    bins = np.zeros(256, dtype=np.int64)
-    for value, mass in pairs:
-        bins[value] += mass
-    return Histogram(bins)
 
 
 class TestBetweenClassVariance:
@@ -36,7 +30,7 @@ class TestBetweenClassVariance:
     def test_empty_histogram(self):
         assert between_class_variance(Histogram(np.zeros(256, dtype=np.int64)), (7,)) == 0.0
 
-    @pytest.mark.parametrize("bad", [(255,), (-1,), (9, 9), (9, 5)])
+    @pytest.mark.parametrize("bad", [(255,), (-1,), (9, 9), (9, 5), (100.5,)])
     def test_rejects_bad_thresholds(self, bad):
         with pytest.raises(ValueError):
             between_class_variance(spikes((1, 1)), bad)
@@ -146,3 +140,7 @@ class TestOtsuResult:
     def test_rejects_negative_criterion(self):
         with pytest.raises(ValueError):
             OtsuResult(thresholds=(9,), criterion=-0.5)
+
+    def test_rejects_nan_criterion(self):
+        with pytest.raises(ValueError, match="got nan"):
+            OtsuResult(thresholds=(3, 7), criterion=math.nan)

@@ -11,6 +11,7 @@ from mvthresh.image import Histogram, compute_histogram
 from mvthresh.otsu import otsu_multilevel_exhaustive
 
 from conftest import histograms, sparse_histograms
+from helpers import spikes
 from oracles import brute_force_otsu, scan_blocks_otsu
 
 # a single spike ties on every one of the ~2.7 million three-cut tuples;
@@ -24,13 +25,6 @@ PLATEAUS = {
     "four_adjacent_spikes": [(10, 1), (11, 1), (12, 1), (13, 1)],
     "four_adjacent_spikes_at_the_top": [(252, 2), (253, 1), (254, 1), (255, 2)],
 }
-
-
-def spikes(pairs):
-    bins = np.zeros(256, dtype=np.int64)
-    for value, mass in pairs:
-        bins[value] += mass
-    return Histogram(bins)
 
 
 def assert_same_as_frozen_scan(hist, k):
@@ -70,7 +64,7 @@ def test_mirror_symmetric_histograms_match_brute_force(seed):
 
 @pytest.mark.parametrize("name", sorted(PLATEAUS))
 def test_plateaus_match_frozen_scan(name):
-    hist = spikes(PLATEAUS[name])
+    hist = spikes(*PLATEAUS[name])
     assert_same_as_frozen_scan(hist, 3)
     assert_same_as_frozen_scan(hist, 2)
 
@@ -81,7 +75,7 @@ def test_k3_working_memory_is_bounded(source, large_image):
     if source == "large_image":
         hist = compute_histogram(large_image)
     else:
-        hist = spikes(PLATEAUS[source])
+        hist = spikes(*PLATEAUS[source])
     tracemalloc.start()
     try:
         otsu_multilevel_exhaustive(hist, 3)

@@ -84,7 +84,10 @@ class TestPsnr:
 
 
 class TestHistogramMse:
-    """The MSE that ``segment`` and ``bench`` report, from the moment table alone."""
+    """The result's exact ``squared_error``, over the pixel count, is the MSE of its raster.
+
+    ``segment`` and ``bench`` report it without reading the pixels again.
+    """
 
     @given(
         gray_images(),
@@ -94,7 +97,8 @@ class TestHistogramMse:
     def test_equals_pixel_mse_exactly(self, img, n, mode):
         result, quantized = segment_image(img, SegmentationParams(n=n, replacement=mode))
         hist = compute_histogram(img)
-        err = class_error(hist, result.classes) / hist.total
+        assert result.squared_error == class_error(hist, result.classes)
+        err = result.squared_error / hist.total
         assert err == mse(img, quantized)
         assert psnr_from_mse(err) == psnr(img, quantized)
 

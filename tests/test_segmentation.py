@@ -29,19 +29,12 @@ from mvthresh.segmentation import (
 from mvthresh.stats import SubRange, range_stats
 
 from conftest import gray_images, histograms, sparse_histograms
-from helpers import assert_valid_partition
+from helpers import assert_valid_partition, spikes
 from oracles import reference_segment
 
 FULL = SubRange(0, 255)
 
 kappas = st.one_of(st.floats(min_value=0.05, max_value=5.0), st.just(1e308))
-
-
-def spikes(*pairs):
-    bins = np.zeros(256, dtype=np.int64)
-    for value, mass in pairs:
-        bins[value] += mass
-    return Histogram(bins)
 
 
 def result_classes(result):
@@ -220,12 +213,14 @@ class TestApplyMapping:
         classes = tuple(
             (SubRange(v, v), v) for v in range(256)
         )
-        result = SegmentationResult(thresholds=(128,), classes=classes)
+        result = SegmentationResult(thresholds=(128,), classes=classes, squared_error=0)
         assert apply_mapping(img, result) == img
 
     def test_constant_lut(self):
         img = GrayImage(3, 3, np.arange(9, dtype=np.uint8))
-        result = SegmentationResult(thresholds=(0,), classes=((SubRange(0, 255), 0),))
+        result = SegmentationResult(
+            thresholds=(0,), classes=((SubRange(0, 255), 0),), squared_error=0
+        )
         out = apply_mapping(img, result)
         assert set(out.pixels.tolist()) == {0}
 
@@ -269,7 +264,7 @@ def lookup_results(draw):
         (SubRange(lo + 1, hi), draw(st.integers(lo + 1, hi)))
         for lo, hi in zip(bounds, bounds[1:])
     )
-    return SegmentationResult(thresholds=tuple(cuts), classes=classes)
+    return SegmentationResult(thresholds=tuple(cuts), classes=classes, squared_error=0)
 
 
 class TestPairPasses:
@@ -306,6 +301,7 @@ class TestSegmentationResult:
             SegmentationResult(
                 thresholds=(100,),
                 classes=((SubRange(0, 99), 50), (SubRange(101, 255), 200)),
+                squared_error=0,
             )
 
     def test_rejects_replacement_outside_interval(self):
@@ -313,6 +309,7 @@ class TestSegmentationResult:
             SegmentationResult(
                 thresholds=(100,),
                 classes=((SubRange(0, 100), 101), (SubRange(101, 255), 200)),
+                squared_error=0,
             )
 
     def test_rejects_unsorted_thresholds(self):
@@ -320,21 +317,46 @@ class TestSegmentationResult:
             SegmentationResult(
                 thresholds=(100, 100),
                 classes=((SubRange(0, 255), 10),),
+                squared_error=0,
             )
 
     @pytest.mark.parametrize(
-        "thresholds, classes, message",
+        "thresholds, classes, error, message",
         [
-            ((), ((SubRange(0, 255), 10),), "thresholds and classes must be non-empty"),
-            ((256,), ((SubRange(0, 255), 10),), r"threshold 256 outside \[0, 255\]"),
-            ((100,), ((SubRange(0, 100), 50), (SubRange(101, 200), 150)),
+            ((), ((SubRange(0, 255), 10),), 0, "thresholds and classes must be non-empty"),
+            ((256,), ((SubRange(0, 255), 10),), 0, r"threshold 256 outside \[0, 255\]"),
+            ((100,), ((SubRange(0, 100), 50), (SubRange(101, 200), 150)), 0,
              r"classes must cover \[0, 255\] completely"),
+            ((127.5,), ((SubRange(0, 127), 3), (SubRange(128, 255), 200)), 0,
+             r"threshold must be an integer, got 127\.5"),
+            ((127,), ((SubRange(0, 127), 3.7), (SubRange(128, 255), 200)), 0,
+             r"class value must be an integer, got 3\.7"),
+            ((127,), ((SubRange(0, 127), 3), (SubRange(128, 255), 200)), 1.0,
+             r"squared error must be an integer, got 1\.0"),
+            ((127,), ((SubRange(0, 127), 3), (SubRange(128, 255), 200)), -1,
+             "squared error must be >= 0, got -1"),
         ],
-        ids=["empty", "threshold-256", "short-classes"],
+        ids=["empty", "threshold-256", "short-classes", "float-threshold", "float-value",
+             "float-error", "negative-error"],
     )
-    def test_rejects_each_bad_part_with_its_message(self, thresholds, classes, message):
+    def test_rejects_each_bad_part_with_its_message(self, thresholds, classes, error, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            SegmentationResult(thresholds=thresholds, classes=classes)
+            SegmentationResult(thresholds=thresholds, classes=classes, squared_error=error)
+
+    def test_integer_parts_are_stored_as_int(self):
+        result = SegmentationResult(
+            thresholds=(np.int64(127),),
+            classes=((SubRange(0, 127), np.uint8(3)), (SubRange(128, 255), 200)),
+            squared_error=np.int64(5),
+        )
+        parts = (*result.thresholds, *(value for _, value in result.classes), result.squared_error)
+        assert all(type(part) is int for part in parts)
+
+    def test_equal_only_with_the_same_error(self):
+        classes = ((SubRange(0, 255), 10),)
+        result = SegmentationResult(thresholds=(10,), classes=classes, squared_error=0)
+        assert result == SegmentationResult(thresholds=(10,), classes=classes, squared_error=0)
+        assert result != SegmentationResult(thresholds=(10,), classes=classes, squared_error=1)
 
     def test_value_objects_are_unhashable(self):
         """Each compares by value and defines no hash, so none can key a dict or join a set."""
