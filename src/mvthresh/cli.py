@@ -10,6 +10,7 @@ All output is deterministic for identical inputs; only timings vary.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import errno
 import functools
@@ -17,6 +18,7 @@ import io
 import json
 import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 from .image import GrayImage, PgmError, _p5_header, compute_histogram, read_pgm
@@ -57,7 +59,7 @@ def _load_image(path: str) -> GrayImage:
     return read_pgm(Path(path).read_bytes())
 
 
-def _replace_files(files: dict[str, tuple]) -> None:
+def _replace_files(files: dict[str, Sequence]) -> None:
     """Write each path's byte chunks to a file beside it, then rename each into place.
 
     A path that is a directory is rejected before anything is written, and
@@ -66,7 +68,18 @@ def _replace_files(files: dict[str, tuple]) -> None:
     succeeded leaves those paths replaced and its own and later paths as they
     were. Either way no temporary file is left, and the error names the path
     asked for, not its temporary.
+
+    Each temporary is preallocated to its byte count (``posix_fallocate``,
+    where the platform has it) before it is written. ext4 then has no delayed
+    allocation to force out when the rename replaces an existing file, which
+    made each replacing rename of a 4 MiB output wait 3-4 ms on the disk.
+    Nothing is fsynced, so after a power loss within the kernel's writeback
+    delay (about 30 s by default) a replaced file can read as zeros, where
+    ext4's rename rule would have left the old file or the new one. A failed
+    preallocation is only a lost hint: the write after it reports any real
+    failure, such as a full disk.
     """
+    preallocate = getattr(os, "posix_fallocate", None)  # absent on macOS and Windows
     temps = {}
     try:
         for path in files:
@@ -77,6 +90,10 @@ def _replace_files(files: dict[str, tuple]) -> None:
             temp = target.parent / f".{target.name}.{os.urandom(6).hex()}.tmp"
             with open(temp, "xb") as fh:
                 temps[path] = temp
+                size = sum(memoryview(chunk).nbytes for chunk in chunks)
+                if size and preallocate is not None:
+                    with contextlib.suppress(OSError):
+                        preallocate(fh.fileno(), 0, size)
                 fh.writelines(chunks)
         for path, temp in temps.items():
             os.replace(temp, path)

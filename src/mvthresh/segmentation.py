@@ -131,6 +131,13 @@ class SegmentationResult:
             position = interval.hi + 1
         if position != LEVELS:
             raise ValueError("classes must cover [0, 255] completely")
+        # a lower class ends at its cut; the class below an upper one ends one below its cut
+        if len(self.classes) - len(self.thresholds) not in (0, 1):
+            raise ValueError(f"{len(self.classes)} classes for {len(self.thresholds)} thresholds")
+        ends = set(self.thresholds) | {t - 1 for t in self.thresholds}
+        for interval, _ in self.classes[:-1]:
+            if interval.hi not in ends:
+                raise ValueError(f"class {interval} ends neither at a threshold nor one below one")
         lut.flags.writeable = False
         object.__setattr__(self, "lut", lut)
         object.__setattr__(self, "effective_n", len(self.thresholds))

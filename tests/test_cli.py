@@ -509,6 +509,9 @@ class _FullDisk:
         for chunk in chunks:
             self.write(chunk)
 
+    def fileno(self):
+        return self._fh.fileno()
+
 
 def test_interrupted_write_propagates_and_leaves_no_temporary(tmp_path):
     target = tmp_path / "old"
@@ -545,6 +548,69 @@ def test_failed_write_keeps_the_old_file(tmp_path, blob_pgm, capsys, monkeypatch
     assert len(err) == 1 and err[0].startswith("error:") and str(target) in err[0]
     assert target.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.pgm", "old"]
+
+
+def _segment_into(blob_pgm, out, report, levels="7"):
+    argv = ["segment", "--input", str(blob_pgm), "--levels", levels,
+            "--output", str(out), "--report", str(report)]
+    assert main(argv) == EXIT_OK
+    return out.read_bytes(), report.read_bytes()
+
+
+@pytest.fixture()
+def fixed_elapsed(monkeypatch):
+    """Reports with a fixed ``elapsed_ms``, so two runs compare byte for byte."""
+    monkeypatch.setattr(cli_module, "timed", lambda fn, *args: (fn(*args), 0.0))
+
+
+class TestPreallocation:
+    def test_one_call_per_temporary_with_its_byte_count(
+        self, tmp_path, blob_pgm, fixed_elapsed, monkeypatch
+    ):
+        calls = []
+
+        def record(fd, offset, size):
+            calls.append((os.fstat(fd).st_ino, offset, size))
+
+        monkeypatch.setattr(os, "posix_fallocate", record, raising=False)
+        out, report = tmp_path / "q.pgm", tmp_path / "r.json"
+        _segment_into(blob_pgm, out, report)
+        # a rename keeps the inode, so each call was on the file now at its path
+        assert calls == [
+            (path.stat().st_ino, 0, path.stat().st_size) for path in (out, report)
+        ]
+
+    @pytest.mark.parametrize("patch", ["unsupported", "absent"])
+    def test_bytes_do_not_depend_on_it(self, tmp_path, blob_pgm, fixed_elapsed, monkeypatch, patch):
+        expected = _segment_into(blob_pgm, tmp_path / "a.pgm", tmp_path / "a.json")
+        if patch == "absent":
+            monkeypatch.delattr(os, "posix_fallocate", raising=False)
+        else:
+            def unsupported(fd, offset, size):
+                raise OSError(errno.EOPNOTSUPP, os.strerror(errno.EOPNOTSUPP))
+
+            monkeypatch.setattr(os, "posix_fallocate", unsupported, raising=False)
+        assert _segment_into(blob_pgm, tmp_path / "b.pgm", tmp_path / "b.json") == expected
+
+    def test_empty_payload_is_written_without_it(self, tmp_path, monkeypatch):
+        target = tmp_path / "old"
+        target.write_bytes(b"an earlier run's table")
+        calls = []
+        monkeypatch.setattr(os, "posix_fallocate", lambda *args: calls.append(args), raising=False)
+        cli_module._replace_files({str(target): (b"",)})
+        assert target.read_bytes() == b""
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old"]
+
+
+def test_second_run_onto_the_same_paths(tmp_path, blob_pgm, fixed_elapsed):
+    fresh = _segment_into(blob_pgm, tmp_path / "fresh.pgm", tmp_path / "fresh.json")
+    out, report = tmp_path / "q.pgm", tmp_path / "r.json"
+    assert _segment_into(blob_pgm, out, report, levels="3") != fresh
+    assert _segment_into(blob_pgm, out, report) == fresh
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "blobs.pgm", "fresh.json", "fresh.pgm", "q.pgm", "r.json"
+    ]
 
 
 class TestBenchCommand:

@@ -189,6 +189,21 @@ class TestSegment:
         result = segment(hist, SegmentationParams(n=n))
         assert_valid_partition(result, requested_n=n)
 
+    @given(
+        histograms(min_total=1),
+        st.sampled_from([3, 5, 7, 9, 11, 13, 15]),
+        st.lists(st.tuples(kappas, kappas), min_size=1, max_size=3),
+        st.sampled_from(list(Replacement)),
+    )
+    def test_classes_end_at_their_thresholds(self, hist, n, schedule, mode):
+        """A lower class ends at its cut, the class below an upper one one below its cut."""
+        result = segment(
+            hist, SegmentationParams(n=n, kappa_schedule=tuple(schedule), replacement=mode)
+        )
+        assert len(result.classes) - len(result.thresholds) in (0, 1)
+        ends = set(result.thresholds) | {t - 1 for t in result.thresholds}
+        assert all(iv.hi in ends for iv, _ in result.classes[:-1])
+
     @given(histograms(min_total=1))
     def test_prefix_stability_across_requested_counts(self, hist):
         """With a constant kappa schedule, pass k's cuts do not depend on n."""
@@ -213,7 +228,7 @@ class TestApplyMapping:
         classes = tuple(
             (SubRange(v, v), v) for v in range(256)
         )
-        result = SegmentationResult(thresholds=(128,), classes=classes, squared_error=0)
+        result = SegmentationResult(thresholds=tuple(range(255)), classes=classes, squared_error=0)
         assert apply_mapping(img, result) == img
 
     def test_constant_lut(self):
@@ -335,9 +350,13 @@ class TestSegmentationResult:
              r"squared error must be an integer, got 1\.0"),
             ((127,), ((SubRange(0, 127), 3), (SubRange(128, 255), 200)), -1,
              "squared error must be >= 0, got -1"),
+            ((128,), tuple((SubRange(v, v), v) for v in range(256)), 0,
+             "256 classes for 1 thresholds"),
+            ((10, 200), ((SubRange(0, 99), 50), (SubRange(100, 255), 200)), 0,
+             r"class SubRange\(lo=0, hi=99\) ends neither at a threshold nor one below one"),
         ],
         ids=["empty", "threshold-256", "short-classes", "float-threshold", "float-value",
-             "float-error", "negative-error"],
+             "float-error", "negative-error", "class-count", "class-end"],
     )
     def test_rejects_each_bad_part_with_its_message(self, thresholds, classes, error, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
