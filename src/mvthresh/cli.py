@@ -10,8 +10,8 @@ All output is deterministic for identical inputs; only timings vary.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import ctypes
 import errno
 import functools
 import io
@@ -59,6 +59,16 @@ def _load_image(path: str) -> GrayImage:
     return read_pgm(Path(path).read_bytes())
 
 
+# libc's fallocate(2), not os.posix_fallocate: where a file system cannot
+# preallocate, fallocate fails at once, while glibc's posix_fallocate writes a
+# byte into every 4 KiB block instead, which costs more than the flush it was
+# meant to spare. Linux only, where off_t is a C long.
+_fallocate = getattr(ctypes.CDLL(None), "fallocate", None) if sys.platform == "linux" else None
+if _fallocate is not None:
+    _fallocate.argtypes = (ctypes.c_int, ctypes.c_int, ctypes.c_long, ctypes.c_long)
+    _fallocate.restype = ctypes.c_int
+
+
 def _replace_files(files: dict[str, Sequence]) -> None:
     """Write each path's byte chunks to a file beside it, then rename each into place.
 
@@ -69,20 +79,22 @@ def _replace_files(files: dict[str, Sequence]) -> None:
     were. Either way no temporary file is left, and the error names the path
     asked for, not its temporary.
 
-    Each temporary is preallocated to its byte count (``posix_fallocate``,
-    where the platform has it) before it is written. ext4 then has no delayed
-    allocation to force out when the rename replaces an existing file, which
-    made each replacing rename of a 4 MiB output wait 3-4 ms on the disk.
-    Nothing is fsynced, so after a power loss within the kernel's writeback
-    delay (about 30 s by default) a replaced file can read as zeros, where
-    ext4's rename rule would have left the old file or the new one. A failed
-    preallocation is only a lost hint: the write after it reports any real
-    failure, such as a full disk.
+    Each temporary is preallocated to its byte count by ``fallocate(2)``
+    before it is written, so the chunks must be a sequence (they are read
+    twice). ext4 then has no delayed allocation to force out when the rename
+    replaces an existing file, which made each replacing rename of a 4 MiB
+    output wait 3-4 ms on the disk. Nothing is fsynced, so after a power loss
+    within the kernel's writeback delay (about 30 s by default) a replaced
+    file can keep its full length and read as zeros, where ext4's rename rule
+    would have left the old file or the new one. A failed preallocation is
+    only a lost hint: the write after it reports any real failure, such as a
+    full disk.
     """
-    preallocate = getattr(os, "posix_fallocate", None)  # absent on macOS and Windows
     temps = {}
     try:
-        for path in files:
+        for path, chunks in files.items():
+            if not isinstance(chunks, Sequence):  # a one-shot iterable would be read empty
+                raise TypeError(f"chunks for {path} must be a sequence, got {type(chunks).__name__}")
             if os.path.isdir(path):  # its rename would fail after the others replaced theirs
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for path, chunks in files.items():
@@ -91,9 +103,8 @@ def _replace_files(files: dict[str, Sequence]) -> None:
             with open(temp, "xb") as fh:
                 temps[path] = temp
                 size = sum(memoryview(chunk).nbytes for chunk in chunks)
-                if size and preallocate is not None:
-                    with contextlib.suppress(OSError):
-                        preallocate(fh.fileno(), 0, size)
+                if size and _fallocate is not None:
+                    _fallocate(fh.fileno(), 0, 0, size)  # its -1 on failure is ignored
                 fh.writelines(chunks)
         for path, temp in temps.items():
             os.replace(temp, path)

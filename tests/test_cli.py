@@ -489,11 +489,12 @@ class TestOtsuCommand:
         assert main(["otsu", "--input", str(path), "--classes", classes]) == EXIT_USAGE
 
 
-class _FullDisk:
-    """A file that takes a few bytes of a write and then reports a full disk."""
+class _BrokenWrite:
+    """A file that takes a few bytes of a write and then raises ``error``."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, error):
         self._fh = fh
+        self._error = error
 
     def __enter__(self):
         return self
@@ -503,7 +504,7 @@ class _FullDisk:
 
     def write(self, data):
         self._fh.write(bytes(data)[:8])
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        raise self._error
 
     def writelines(self, chunks):
         for chunk in chunks:
@@ -513,17 +514,19 @@ class _FullDisk:
         return self._fh.fileno()
 
 
-def test_interrupted_write_propagates_and_leaves_no_temporary(tmp_path):
+def _break_writes(monkeypatch, error):
+    monkeypatch.setattr(
+        cli_module, "open", lambda *a, **k: _BrokenWrite(open(*a, **k), error), raising=False
+    )
+
+
+def test_interrupted_write_propagates_and_leaves_no_temporary(tmp_path, monkeypatch):
     target = tmp_path / "old"
     target.write_bytes(b"an earlier run's table")
     interrupt = KeyboardInterrupt()
-
-    def chunks():
-        yield b"half a table"
-        raise interrupt
-
+    _break_writes(monkeypatch, interrupt)
     with pytest.raises(KeyboardInterrupt) as raised:
-        cli_module._replace_files({str(target): chunks()})
+        cli_module._replace_files({str(target): (b"half a table", b"and the rest")})
     assert raised.value is interrupt
     assert target.read_bytes() == b"an earlier run's table"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old"]
@@ -542,7 +545,7 @@ def test_failed_write_keeps_the_old_file(tmp_path, blob_pgm, capsys, monkeypatch
     assert main([*first, str(target), "--input", str(blob_pgm)]) == EXIT_OK
     before = target.read_bytes()
     capsys.readouterr()
-    monkeypatch.setattr(cli_module, "open", lambda *a, **k: _FullDisk(open(*a, **k)), raising=False)
+    _break_writes(monkeypatch, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
     assert main([*second, str(target), "--input", str(blob_pgm)]) == EXIT_IO
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and str(target) in err[0]
@@ -569,37 +572,47 @@ class TestPreallocation:
     ):
         calls = []
 
-        def record(fd, offset, size):
-            calls.append((os.fstat(fd).st_ino, offset, size))
+        def record(fd, mode, offset, size):
+            calls.append((os.fstat(fd).st_ino, mode, offset, size))
+            return 0
 
-        monkeypatch.setattr(os, "posix_fallocate", record, raising=False)
+        monkeypatch.setattr(cli_module, "_fallocate", record)
         out, report = tmp_path / "q.pgm", tmp_path / "r.json"
         _segment_into(blob_pgm, out, report)
         # a rename keeps the inode, so each call was on the file now at its path
         assert calls == [
-            (path.stat().st_ino, 0, path.stat().st_size) for path in (out, report)
+            (path.stat().st_ino, 0, 0, path.stat().st_size) for path in (out, report)
         ]
 
     @pytest.mark.parametrize("patch", ["unsupported", "absent"])
     def test_bytes_do_not_depend_on_it(self, tmp_path, blob_pgm, fixed_elapsed, monkeypatch, patch):
         expected = _segment_into(blob_pgm, tmp_path / "a.pgm", tmp_path / "a.json")
-        if patch == "absent":
-            monkeypatch.delattr(os, "posix_fallocate", raising=False)
-        else:
-            def unsupported(fd, offset, size):
-                raise OSError(errno.EOPNOTSUPP, os.strerror(errno.EOPNOTSUPP))
-
-            monkeypatch.setattr(os, "posix_fallocate", unsupported, raising=False)
+        # where a file system cannot preallocate, libc's fallocate returns -1 (EOPNOTSUPP)
+        monkeypatch.setattr(cli_module, "_fallocate", None if patch == "absent" else lambda *a: -1)
         assert _segment_into(blob_pgm, tmp_path / "b.pgm", tmp_path / "b.json") == expected
 
     def test_empty_payload_is_written_without_it(self, tmp_path, monkeypatch):
         target = tmp_path / "old"
         target.write_bytes(b"an earlier run's table")
         calls = []
-        monkeypatch.setattr(os, "posix_fallocate", lambda *args: calls.append(args), raising=False)
+        monkeypatch.setattr(cli_module, "_fallocate", lambda *args: calls.append(args))
         cli_module._replace_files({str(target): (b"",)})
         assert target.read_bytes() == b""
         assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old"]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="fallocate(2) is Linux's")
+    def test_libc_call_sets_the_length(self, tmp_path):
+        with open(tmp_path / "f", "wb") as fh:
+            assert cli_module._fallocate(fh.fileno(), 0, 0, 12345) == 0
+        assert (tmp_path / "f").read_bytes() == bytes(12345)
+
+    def test_one_shot_chunks_are_refused_before_any_write(self, tmp_path):
+        target = tmp_path / "old"
+        target.write_bytes(b"an earlier run's table")
+        with pytest.raises(TypeError, match="must be a sequence, got generator"):
+            cli_module._replace_files({str(target): (chunk for chunk in [b"a table"])})
+        assert target.read_bytes() == b"an earlier run's table"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old"]
 
 

@@ -179,30 +179,21 @@ class TestSegment:
                 assert list(result.thresholds) == thresholds
                 assert result_classes(result) == classes
 
-    @given(histograms(min_total=1), st.sampled_from([3, 5, 7, 9]))
-    def test_partition_invariants(self, hist, n):
-        result = segment(hist, SegmentationParams(n=n))
-        assert_valid_partition(result, requested_n=n)
-
-    @given(sparse_histograms(), st.sampled_from([3, 5, 7, 9, 11]))
-    def test_partition_invariants_sparse(self, hist, n):
-        result = segment(hist, SegmentationParams(n=n))
-        assert_valid_partition(result, requested_n=n)
-
     @given(
         histograms(min_total=1),
         st.sampled_from([3, 5, 7, 9, 11, 13, 15]),
         st.lists(st.tuples(kappas, kappas), min_size=1, max_size=3),
         st.sampled_from(list(Replacement)),
     )
-    def test_classes_end_at_their_thresholds(self, hist, n, schedule, mode):
-        """A lower class ends at its cut, the class below an upper one one below its cut."""
-        result = segment(
-            hist, SegmentationParams(n=n, kappa_schedule=tuple(schedule), replacement=mode)
-        )
-        assert len(result.classes) - len(result.thresholds) in (0, 1)
-        ends = set(result.thresholds) | {t - 1 for t in result.thresholds}
-        assert all(iv.hi in ends for iv, _ in result.classes[:-1])
+    def test_partition_invariants(self, hist, n, schedule, mode):
+        """Building the result also checks that each class but the last ends at a cut."""
+        params = SegmentationParams(n=n, kappa_schedule=tuple(schedule), replacement=mode)
+        assert_valid_partition(segment(hist, params), requested_n=n)
+
+    @given(sparse_histograms(), st.sampled_from([3, 5, 7, 9, 11]))
+    def test_partition_invariants_sparse(self, hist, n):
+        result = segment(hist, SegmentationParams(n=n))
+        assert_valid_partition(result, requested_n=n)
 
     @given(histograms(min_total=1))
     def test_prefix_stability_across_requested_counts(self, hist):
