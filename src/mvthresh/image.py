@@ -137,14 +137,14 @@ class Histogram:
 
     def __post_init__(self):
         raw = np.asarray(self.bins)
+        if raw.shape != (LEVELS,):
+            raise ValueError(f"histogram needs exactly {LEVELS} bins, got shape {raw.shape}")
         counts = raw.ravel().tolist()  # exact, where an int64 cast wraps a count of 2^63 or more
         total = sum(counts) if raw.dtype.kind in "iu" or all(type(c) is int for c in counts) else 0
         too_large = total * MAX_INTENSITY**2 > np.iinfo(np.int64).max  # a moment would wrap
         # a list holding a count of 2^64 or more is an object array, rejected as too large
         if raw.dtype.kind not in "iu" and not too_large:
             raise ValueError(f"histogram counts must be integers, got dtype {raw.dtype}")
-        if raw.shape != (LEVELS,):
-            raise ValueError(f"histogram needs exactly {LEVELS} bins, got shape {raw.shape}")
         if min(counts) < 0:
             raise ValueError("histogram counts must be non-negative")
         if too_large:

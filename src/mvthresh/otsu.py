@@ -21,16 +21,16 @@ from fractions import Fraction
 import numpy as np
 
 from .image import LEVELS, MAX_INTENSITY, Histogram, _integer
-from .stats import SubRange, _moments
+from .stats import SubRange, _interval_grid, _moments
 
 # maximizing sum(w_c * mu_c^2) is equivalent to maximizing the between-class
 # variance (they differ by the constant mu_total^2); the scan works with
 # J = sum(s_c^2 / n_c), the same quantity scaled by the pixel count.
-# Float slack: anything this close to the max is re-scored exactly. s_c and
-# n_c are exact integers in float64, each table entry rounds twice (square,
-# divide) and a score takes three adds of non-negative entries, so it is
-# within about 5 * 2^-53 * J (J <= N * 255^2), roughly 1e-15 relative, of
-# the exact value: far inside the band, in any order of adds.
+# Float slack: anything this close to the max is re-scored exactly. n_c is
+# exact in float64 (N < 2^53), s_c within 2^-52 * S and exact unless the
+# intensity sum S passes 2^53 (mu = S/N above about 63). A score of up to four
+# terms is then within about 4.5e-13 * S + 5 * 2^-53 * J, and the band is at
+# least 1e-9 * S * mu (J >= S^2 / N): 10^4 times wider, in any order of adds.
 _REL_BAND = 1e-9
 
 _CUT_MAX = MAX_INTENSITY - 1  # a threshold at 255 would leave an empty top class
@@ -62,25 +62,17 @@ class OtsuResult:
 def between_class_variance(hist: Histogram, thresholds) -> float:
     """sum over classes of w_c * (mu_c - mu_total)^2; empty classes add 0.
 
-    Computed exactly as J/N - (S/N)^2 and rounded once to float.
+    Computed exactly as (J - J_1)/N, J_1 = S^2/N the one-class J, and rounded once to float.
     ``thresholds`` must be strictly increasing within [0, 254] and partition
     [0, 255] into classes [0, t1], [t1+1, t2], ..., [t_k+1, 255].
     """
     ts = _checked_thresholds(thresholds)
     if hist.total == 0:
         return 0.0
-    n = hist.total
-    return float(_exact_j(hist, ts) / n - Fraction(hist.moments[1][-1], n) ** 2)
+    return float((_exact_j(hist, ts) - _exact_j(hist, ())) / hist.total)
 
 
-def _terms(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``sums^2 / max(counts, 1)``, in place: the J terms of classes with these moments."""
-    sums *= sums
-    sums /= np.maximum(counts, 1.0, out=counts)
-    return sums
-
-
-def _scored_blocks(counts, weighted, k: int):
+def _scored_blocks(hist: Histogram, k: int):
     """Yield (origin, j) blocks scoring every ascending k-tuple exactly once.
 
     ``j[i]`` scores the thresholds ``origin + i`` from the one class table,
@@ -88,15 +80,14 @@ def _scored_blocks(counts, weighted, k: int):
     smaller tuple already scores, hold its -inf. Blocks come in lexicographic
     order of their tuples, and so do the entries of a block in C order.
     """
-    c = np.asarray(counts, dtype=np.float64)
-    s = np.asarray(weighted, dtype=np.float64)
-    occupied = c[1:] > c[:-1]
-    # table[u, v]: class [u, v]'s term after a cut at u - 1, -inf unless the
-    # cut at v is right after it (v = u) or at an occupied bin (v > u)
-    table = _terms(s[None, 1:] - s[:-1, None], c[None, 1:] - c[:-1, None])
-    table[~(np.eye(LEVELS, dtype=bool) | np.triu(occupied, 1))] = -np.inf
-    # last[t]: the top class [t+1, 255] above a cut at t
-    last = _terms(s[-1] - s[1:-1], c[-1] - c[1:-1])
+    # table[u, v]: class [u, v]'s term s^2 / max(n, 1) after a cut at u - 1
+    table, counts = _interval_grid(hist)
+    table *= table
+    table /= np.maximum(counts, 1.0, out=counts)
+    del counts  # held by the frame, it would stay alive through the whole scan
+    last = table[1:, -1].copy()  # last[t]: the top class [t+1, 255] above a cut at t, unmasked
+    # -inf unless the cut at v is right after u - 1 (v = u) or at an occupied bin (v > u)
+    table[~(np.eye(LEVELS, dtype=bool) | np.triu(hist.bins > 0, 1))] = -np.inf
     if k == 1:
         yield (0,), table[0, : _CUT_MAX + 1] + last
         return
@@ -131,14 +122,13 @@ def otsu_multilevel_exhaustive(hist: Histogram, k: int) -> OtsuResult:
         raise ValueError(f"threshold count must be in [1, 3], got {k}")
     if hist.total == 0:
         raise ValueError("cannot threshold an empty histogram")
-    counts, weighted, _ = hist.moments
 
     # One pass keeps the running maximum and the entries within the band of
     # it; the table scores each set of equal classes once, by its smallest
     # tuple, so a plateau of millions of tied tuples leaves a few rows.
     best = -np.inf
     near = []
-    for origin, j in _scored_blocks(counts, weighted, k):
+    for origin, j in _scored_blocks(hist, k):
         top = j.max()
         best = max(best, top)
         cutoff = best - max(abs(best), 1.0) * _REL_BAND

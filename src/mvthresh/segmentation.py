@@ -33,6 +33,7 @@ from .quality import psnr_from_mse
 from .stats import (
     RangeStats,
     SubRange,
+    _moments,
     midpoint,
     range_stats,
     round_half_up,
@@ -206,8 +207,7 @@ def _passes(hist: Histogram, params: SegmentationParams):
 def _middle(hist: Histogram, r: SubRange, mode: Replacement):
     """Split the residual at its rounded mean: (split, the one or two middle classes)."""
     split = _class_value(hist, r, Replacement.WEIGHTED_MEAN)
-    counts = hist.moments[0]
-    if split >= r.hi or counts[r.hi + 1] == counts[split + 1]:
+    if split >= r.hi or _moments(hist, SubRange(split + 1, r.hi))[0] == 0:
         # nothing above the mean: keep the residual range as one class so
         # every level it covers maps to the same value the pixels map to
         return split, ((r, _class_value(hist, r, mode)),)

@@ -1,14 +1,17 @@
 """Sub-range statistics over a histogram: count, mean, deviation, replacements.
 
 Sums are accumulated as exact Python integers before a single real division,
-so results are deterministic across platforms. Standard deviation is the
-population form (divide by N): the histogram is the whole pixel population.
+so results are deterministic across platforms; only the Otsu scan's interval
+grid is float64. Standard deviation is the population form (divide by N):
+the histogram is the whole pixel population.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .image import MAX_INTENSITY, Histogram
 
@@ -46,6 +49,12 @@ def _moments(hist: Histogram, r: SubRange) -> tuple[int, int, int]:
     c0, c1, c2 = hist.moments
     lo, end = r.lo, r.hi + 1
     return c0[end] - c0[lo], c1[end] - c1[lo], c2[end] - c2[lo]
+
+
+def _interval_grid(hist: Histogram) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 intensity sums and pixel counts of the classes [u, v] at [u, v], u <= v."""
+    c, s = np.array(hist.moments[:2], dtype=np.float64)
+    return s[None, 1:] - s[:-1, None], c[None, 1:] - c[:-1, None]
 
 
 def range_stats(hist: Histogram, r: SubRange) -> RangeStats:
@@ -88,4 +97,5 @@ def midpoint(r: SubRange) -> int:
 
 def round_half_up(x: float) -> int:
     """Round to the nearest integer, halves toward +infinity."""
-    return math.floor(x + 0.5)
+    whole = math.floor(x)  # not floor(x + 0.5): that add rounds 0.49999999999999994 up to 1
+    return whole + (x - whole >= 0.5)

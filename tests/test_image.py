@@ -642,6 +642,18 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(np.zeros(255, dtype=np.int64))
 
+    def test_wrong_shape_is_rejected_before_its_counts_are_read(self):
+        """Reading a million counts into Python ints would trace tens of MiB."""
+        bins = np.arange(10**6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="needs exactly 256 bins"):
+                Histogram(bins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize(
         "bins", [np.full(256, 1.7), np.ones(256, dtype=bool)], ids=["float", "bool"]
     )

@@ -69,17 +69,43 @@ def test_plateaus_match_frozen_scan(name):
     assert_same_as_frozen_scan(hist, 2)
 
 
-@pytest.mark.parametrize("source", ["large_image", "spike_mid"])
-def test_k3_working_memory_is_bounded(source, large_image):
-    """Two 256x256 float64 tables and the live blocks stay under 4 MiB."""
+@pytest.mark.parametrize("seed", range(5))
+def test_k1_k2_match_brute_force_past_exact_float_sums(seed):
+    """Near the int64 cap the intensity sum passes 2^53, so the table's float
+    class sums round; the band still holds every tuple tied with the optimum."""
+    rng = np.random.default_rng(seed)
+    support = rng.choice(256, size=rng.integers(2, 13), replace=False)
+    share = rng.random(support.size)
+    bins = np.zeros(256, dtype=np.int64)
+    bins[support] = share / share.sum() * ((2**63 - 1) // 255**2)  # a total just under the cap
+    hist = Histogram(bins)
+    assert hist.moments[1][-1] > 2**53
+    for k in (1, 2):
+        assert otsu_multilevel_exhaustive(hist, k).thresholds == brute_force_otsu(list(bins), k)
+
+
+def scan_peak(source, k, large_image):
+    """Traced peak, in bytes, of the k-threshold scan over ``source``."""
     if source == "large_image":
         hist = compute_histogram(large_image)
     else:
         hist = spikes(*PLATEAUS[source])
     tracemalloc.start()
     try:
-        otsu_multilevel_exhaustive(hist, 3)
-        _, peak = tracemalloc.get_traced_memory()
+        otsu_multilevel_exhaustive(hist, k)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("source", ["large_image", "spike_mid"])
+def test_k3_working_memory_is_bounded(source, large_image):
+    """Two 256x256 float64 tables and the live blocks stay under 4 MiB."""
+    assert scan_peak(source, 3, large_image) < 4 * 2**20
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("source", ["large_image", "spike_mid"])
+def test_k1_k2_working_memory_is_bounded(source, k, large_image):
+    """No k keeps the count grid alive through its scan: the same 4 MiB bound."""
+    assert scan_peak(source, k, large_image) < 4 * 2**20

@@ -23,9 +23,8 @@ def kept(origin, shape, occupied):
 @given(sparse_histograms())
 @settings(max_examples=25)
 def test_finite_entries_are_the_kept_tuples(hist):
-    counts, weighted, _ = hist.moments
     occupied = hist.bins > 0
     for k, blocks in ((1, 1), (2, 1), (3, 4)):
-        for origin, j in islice(_scored_blocks(counts, weighted, k), blocks):
+        for origin, j in islice(_scored_blocks(hist, k), blocks):
             assert j.ndim == k
             np.testing.assert_array_equal(np.isfinite(j), kept(origin, j.shape, occupied))

@@ -148,6 +148,13 @@ class TestSegment:
         with pytest.raises(ValueError):
             segment(Histogram(np.zeros(256, dtype=np.int64)), SegmentationParams(n=3))
 
+    def test_cut_just_below_a_half_rounds_down(self):
+        """mu - k1*sigma is 0.49999999999999994 here: the lower cut is 0, not 1."""
+        params = SegmentationParams(n=3, kappa_schedule=((0.044142130247795903, 1.0),))
+        result = segment(spikes((0, 429), (35, 9)), params)
+        assert result.thresholds == (0, 3, 6)
+        assert result.classes[0] == (SubRange(0, 0), 0)
+
     def test_requested_count_reached_on_rich_histogram(self):
         rng = np.random.default_rng(5)
         bins = rng.integers(50, 500, size=256).astype(np.int64)

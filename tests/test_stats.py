@@ -160,7 +160,15 @@ class TestMidpoint:
 class TestRoundHalfUp:
     @pytest.mark.parametrize(
         "x,expected",
-        [(53.6, 54), (53.4, 53), (53.5, 54), (-0.5, 0), (-0.6, -1), (0.0, 0)],
+        [
+            (53.6, 54),
+            (53.4, 53),
+            (53.5, 54),
+            (-0.5, 0),
+            (-0.6, -1),
+            (0.0, 0),
+            (0.49999999999999994, 0),  # x + 0.5 rounds to 1.0
+        ],
     )
     def test_examples(self, x, expected):
         assert round_half_up(x) == expected
