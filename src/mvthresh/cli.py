@@ -17,6 +17,7 @@ import functools
 import io
 import json
 import os
+import stat
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -152,11 +153,21 @@ def cmd_sweep(args) -> int:
     chosen, sweep = auto_select_n(
         image, SegmentationParams(n=3), epsilon=args.epsilon, n_max=args.max_levels
     )
-    with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "psnr_db", "elapsed_ms"])
-        for point in sweep:
-            writer.writerow([point.n, format_db(point.psnr_db, 4), f"{point.elapsed_ms:.3f}"])
+    rows = [[point.n, format_db(point.psnr_db, 4), f"{point.elapsed_ms:.3f}"] for point in sweep]
+    text = io.StringIO()
+    csv.writer(text).writerows([["n", "psnr_db", "elapsed_ms"], *rows])
+    data = text.getvalue().encode("utf-8")
+    # Overwritten in place, then cut to length: ext4 flushes a file at close
+    # only after it was truncated to zero, which O_TRUNC would do. Only a
+    # regular file is cut (ftruncate fails on /dev/null).
+    try:
+        fd = os.open(args.csv, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "wb") as fh:
+            fh.write(data)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:  # a failed write names the path, as _replace_files does
+        raise OSError(exc.errno, exc.strerror, args.csv) from None
     print(f"chosen_n: {chosen}")
     return EXIT_OK
 

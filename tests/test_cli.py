@@ -450,6 +450,57 @@ class TestSweepCommand:
         )
         assert code == EXIT_USAGE
 
+    def _sweep(self, blob_pgm, out_csv, max_levels="9"):
+        return main(
+            ["sweep", "--input", str(blob_pgm), "--max-levels", max_levels,
+             "--epsilon", "0.3", "--csv", str(out_csv)]
+        )
+
+    def test_second_sweep_rewrites_the_same_file(self, tmp_path, blob_pgm):
+        out_csv = tmp_path / "sweep.csv"
+        assert self._sweep(blob_pgm, out_csv, "15") == EXIT_OK
+        inode = out_csv.stat().st_ino
+        assert self._sweep(blob_pgm, out_csv, "3") == EXIT_OK
+        assert out_csv.stat().st_ino == inode
+        assert out_csv.read_text().count("\n") == 2  # header + n=3, no row of the first run
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.pgm", "sweep.csv"]
+
+    def test_longer_earlier_file_is_cut_to_the_new_rows(self, tmp_path, blob_pgm):
+        def without_elapsed(path):
+            return [row.rsplit(b",", 1)[0] for row in path.read_bytes().split(b"\r\n")]
+
+        fresh = tmp_path / "fresh.csv"
+        assert self._sweep(blob_pgm, fresh) == EXIT_OK
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"x" * 10240)
+        assert self._sweep(blob_pgm, old) == EXIT_OK
+        assert without_elapsed(old) == without_elapsed(fresh)
+
+    @pytest.mark.skipif(os.devnull != "/dev/null", reason="needs /dev/null")
+    def test_dev_null_csv(self, blob_pgm, capsys):
+        assert self._sweep(blob_pgm, os.devnull) == EXIT_OK
+        assert capsys.readouterr().out.startswith("chosen_n:")
+
+    def test_directory_csv_is_io_error(self, tmp_path, blob_pgm, capsys):
+        assert self._sweep(blob_pgm, tmp_path) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(tmp_path) in err[0]
+
+    def test_failed_write_names_the_csv_and_overwrites_in_part(
+        self, tmp_path, blob_pgm, capsys, monkeypatch
+    ):
+        target = tmp_path / "old.csv"
+        target.write_bytes(b"x" * 10240)
+        _break_writes(monkeypatch, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+        assert self._sweep(blob_pgm, target) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(target) in err[0]
+        # not atomic: the 8 bytes written before the failure replace the old table's first 8
+        assert target.read_bytes() == b"n,psnr_d" + b"x" * (10240 - 8)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.pgm", "old.csv"]
+
 
 class TestOtsuCommand:
     def test_two_spike_image(self, tmp_path, capsys):
