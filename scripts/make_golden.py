@@ -3,6 +3,9 @@
 
 The corpus is ``make_fixtures``' (every synthetic generator at 256²). Per image:
 
+- ``input/<image>.pgm``: the fixture itself, generated at test time with numpy's
+  ``sin``, ``exp``, ``hypot`` and ``Generator.normal``, which numpy does not
+  promise bit for bit across versions and CPUs;
 - ``segment --levels n`` for n in 3, 9, 15, in both replacement modes: the
   PGM, and the report with its ``elapsed_ms`` line removed;
 - ``sweep --max-levels n --epsilon 1e-6`` for the same n: the CSV without its
@@ -12,7 +15,8 @@ The corpus is ``make_fixtures``' (every synthetic generator at 256²). Per image
 
 ``tests/test_golden.py`` recomputes the digests with :func:`digests` and
 compares them with the file, so tier-1 fails when any of these bytes changes
-on any platform. Regenerate the file only for an intended output change:
+on any platform, and says first whether an input moved. Regenerate the file
+only for an intended output change:
 
     PYTHONPATH=src python scripts/make_golden.py
 """
@@ -65,6 +69,7 @@ def digests(workdir: Path) -> dict[str, str]:
     try:
         for path in write_fixtures(Path("corpus")):
             image = path.as_posix()
+            out[f"input/{path.name}"] = path.read_bytes()
             for n in LEVELS:
                 for mode in Replacement:
                     key = f"segment/{path.stem}/n{n}/{mode.value}"

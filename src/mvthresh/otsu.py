@@ -8,15 +8,18 @@ Chen & Chung ("A Fast Algorithm for Multilevel Thresholding", 2001), one
 a sum of table entries and the scan runs as one 2-D array operation per first
 threshold: O(L) Python iterations. A cut at an empty bin that is not right
 after the previous cut is never scored, because it ties exactly with the cut
-one level lower. The float scan only prefilters; near-ties are re-scored in
-exact integer arithmetic so the lexicographic tie-break is deterministic
-regardless of rounding.
+one level lower. The float scan only prefilters: a first pass finds the best
+score, and a second collects the near-ties from the few blocks that reach it.
+These are re-scored in exact integer arithmetic so the lexicographic tie-break
+is deterministic regardless of rounding.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -72,33 +75,38 @@ def between_class_variance(hist: Histogram, thresholds) -> float:
     return float((_exact_j(hist, ts) - _exact_j(hist, ())) / hist.total)
 
 
-def _scored_blocks(hist: Histogram, k: int):
-    """Yield (origin, j) blocks scoring every ascending k-tuple exactly once.
+def _scored_blocks(
+    hist: Histogram, k: int
+) -> list[tuple[tuple[int, ...], Callable[[], np.ndarray]]]:
+    """(origin, block) pairs that score every ascending k-tuple exactly once.
 
-    ``j[i]`` scores the thresholds ``origin + i`` from the one class table,
-    row 0 of it for k=1; entries that are not ascending, or whose classes a
-    smaller tuple already scores, hold its -inf. Blocks come in lexicographic
-    order of their tuples, and so do the entries of a block in C order.
+    ``block()`` builds ``j``, where ``j[i]`` scores the thresholds ``origin + i``
+    from the one class table, row 0 of it for k=1; entries that are not
+    ascending, or whose classes a smaller tuple already scores, hold its -inf.
+    The table is built once, and each call builds its block anew from it. The
+    pairs come in lexicographic order of their tuples, and so do the entries
+    of a block in C order.
     """
     # table[u, v]: class [u, v]'s term s^2 / max(n, 1) after a cut at u - 1
     table, counts = _interval_grid(hist)
     table *= table
     table /= np.maximum(counts, 1.0, out=counts)
-    del counts  # held by the frame, it would stay alive through the whole scan
+    del counts  # freed before the top classes and the tail are built
     last = table[1:, -1].copy()  # last[t]: the top class [t+1, 255] above a cut at t, unmasked
     # -inf unless the cut at v is right after u - 1 (v = u) or at an occupied bin (v > u)
     table[~(np.eye(LEVELS, dtype=bool) | np.triu(hist.bins > 0, 1))] = -np.inf
     if k == 1:
-        yield (0,), table[0, : _CUT_MAX + 1] + last
-        return
+        return [((0,), lambda: table[0, : _CUT_MAX + 1] + last)]
     # tail[t, u]: the two top classes above cuts t < u
     tail = table[1:, : _CUT_MAX + 1] + last
     if k == 2:
-        yield (0, 0), table[0, : _CUT_MAX + 1, None] + tail
-        return
-    for t1 in range(_CUT_MAX - 1):
+        return [((0, 0), lambda: table[0, : _CUT_MAX + 1, None] + tail)]
+
+    def block(t1):
         head = table[0, t1] + table[t1 + 1, t1 + 1 : _CUT_MAX]
-        yield (t1, t1 + 1, t1 + 2), (head[:, None] + tail[t1 + 1 : _CUT_MAX, t1 + 2 :])[None]
+        return (head[:, None] + tail[t1 + 1 : _CUT_MAX, t1 + 2 :])[None]
+
+    return [((t1, t1 + 1, t1 + 2), partial(block, t1)) for t1 in range(_CUT_MAX - 1)]
 
 
 def _exact_j(hist: Histogram, ts) -> Fraction:
@@ -123,25 +131,26 @@ def otsu_multilevel_exhaustive(hist: Histogram, k: int) -> OtsuResult:
     if hist.total == 0:
         raise ValueError("cannot threshold an empty histogram")
 
-    # One pass keeps the running maximum and the entries within the band of
-    # it; the table scores each set of equal classes once, by its smallest
-    # tuple, so a plateau of millions of tied tuples leaves a few rows.
-    best = -np.inf
+    # Two passes over the blocks. The first takes each block's maximum, so the
+    # cutoff comes from the overall best; the second rebuilds only the blocks
+    # that reach it and collects their entries within the band, in
+    # lexicographic order. The table scores each set of equal classes once, by
+    # its smallest tuple, so a plateau of millions of tied tuples leaves a few.
+    blocks = _scored_blocks(hist, k)
+    tops = [block().max() for _, block in blocks]
+    best = max(tops)
+    cutoff = best - max(abs(best), 1.0) * _REL_BAND
     near = []
-    for origin, j in _scored_blocks(hist, k):
-        top = j.max()
-        best = max(best, top)
-        cutoff = best - max(abs(best), 1.0) * _REL_BAND
+    for (origin, block), top in zip(blocks, tops):
         if top < cutoff:
             continue
+        j = block()
         hit = np.flatnonzero(j >= cutoff)
         cuts = [axis + at for axis, at in zip(np.unravel_index(hit, j.shape), origin)]
-        near += zip(j.ravel()[hit].tolist(), map(tuple, np.column_stack(cuts).tolist()))
+        near += map(tuple, np.column_stack(cuts).tolist())
 
     # max() returns the first of equal maxima: the lexicographic tie-break
-    best_tuple = max(
-        (ts for score, ts in near if score >= cutoff), key=lambda ts: _exact_j(hist, ts)
-    )
+    best_tuple = max(near, key=lambda ts: _exact_j(hist, ts))
     return OtsuResult(thresholds=best_tuple, criterion=between_class_variance(hist, best_tuple))
 
 

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvthresh import otsu
 from mvthresh.image import Histogram, compute_histogram
-from mvthresh.otsu import otsu_multilevel_exhaustive
+from mvthresh.otsu import _REL_BAND, _exact_j, otsu_multilevel_exhaustive
+from mvthresh.synthetic import film_grain, soft_blobs
 
 from conftest import histograms, sparse_histograms
 from helpers import spikes
@@ -24,6 +26,18 @@ PLATEAUS = {
     "four_spikes_with_ends": [(0, 3), (100, 4), (200, 5), (255, 6)],
     "four_adjacent_spikes": [(10, 1), (11, 1), (12, 1), (13, 1)],
     "four_adjacent_spikes_at_the_top": [(252, 2), (253, 1), (254, 1), (255, 2)],
+    # mass rising toward 255: the best score climbs through 120 of the 253
+    # k=3 blocks before it settles
+    "late_maximum": [(v, v * v + 1) for v in range(256)],
+    # three copies of one bump of 3e10-pixel steps, where splitting any one
+    # scores the same; one more pixel at 46 makes (48, 101, 103) beat
+    # (46, 48, 103) by 1.3e-17 of the score, while the float scan ranks the
+    # first cut at 46, a block earlier, highest
+    "near_tie_across_two_blocks": [
+        (at + offset, mass * 30_000_000_000)
+        for at in (45, 100, 150)
+        for offset, mass in enumerate([7, 7, 2, 2])
+    ] + [(46, 1)],
 }
 
 
@@ -82,6 +96,34 @@ def test_k1_k2_match_brute_force_past_exact_float_sums(seed):
     assert hist.moments[1][-1] > 2**53
     for k in (1, 2):
         assert otsu_multilevel_exhaustive(hist, k).thresholds == brute_force_otsu(list(bins), k)
+
+
+@pytest.mark.parametrize("generator", [soft_blobs, film_grain])
+def test_k3_collects_only_from_blocks_in_the_final_band(generator, monkeypatch):
+    """Only a block whose maximum reaches the final cutoff pays for collecting
+    its near-ties: every tuple collected lies within the band of the optimum."""
+    hist = compute_histogram(generator(512, seed=0))
+    collected = []
+
+    class RecordingNumpy:
+        """numpy as ``otsu`` sees it, keeping the tuples each block collects."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def column_stack(self, arrays):
+            tuples = np.column_stack(arrays)
+            collected.append(tuples.tolist())
+            return tuples
+
+    monkeypatch.setattr(otsu, "np", RecordingNumpy())
+    result = otsu_multilevel_exhaustive(hist, 3)
+    monkeypatch.undo()
+
+    floor = _exact_j(hist, result.thresholds) * (1 - 2 * _REL_BAND)
+    assert collected
+    for tuples in collected:
+        assert all(_exact_j(hist, tuple(ts)) >= floor for ts in tuples), tuples
 
 
 def scan_peak(source, k, large_image):

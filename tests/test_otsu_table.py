@@ -25,6 +25,7 @@ def kept(origin, shape, occupied):
 def test_finite_entries_are_the_kept_tuples(hist):
     occupied = hist.bins > 0
     for k, blocks in ((1, 1), (2, 1), (3, 4)):
-        for origin, j in islice(_scored_blocks(hist, k), blocks):
+        for origin, block in islice(_scored_blocks(hist, k), blocks):
+            j = block()
             assert j.ndim == k
             np.testing.assert_array_equal(np.isfinite(j), kept(origin, j.shape, occupied))
