@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .image import LEVELS, MAX_INTENSITY, Histogram, _integer
-from .stats import SubRange, _interval_grid, _moments
+from .stats import _interval_grid, _moments
 
 # maximizing sum(w_c * mu_c^2) is equivalent to maximizing the between-class
 # variance (they differ by the constant mu_total^2); the scan works with
@@ -114,7 +114,7 @@ def _exact_j(hist: Histogram, ts) -> Fraction:
     bounds = (-1, *ts, MAX_INTENSITY)
     j = Fraction(0)
     for lo, hi in zip(bounds, bounds[1:]):
-        c, s, _ = _moments(hist, SubRange(lo + 1, hi))
+        c, s, _ = _moments(hist, lo + 1, hi)
         if c:
             j += Fraction(s * s, c)
     return j

@@ -33,12 +33,10 @@ from .quality import psnr_from_mse
 from .stats import (
     RangeStats,
     SubRange,
-    _moments,
-    midpoint,
+    _class_fit,
     range_stats,
     round_half_up,
     squared_error,
-    weighted_mean,
 )
 
 
@@ -168,52 +166,46 @@ def step_thresholds(
     return t1, t2
 
 
-def _class_value(hist: Histogram, interval: SubRange, mode: Replacement) -> int:
-    if mode is Replacement.MIDPOINT:
-        return midpoint(interval)
-    value = weighted_mean(hist, interval)
-    # a pixel-empty interval has no weighted mean; its midpoint is the only
-    # representable stand-in that stays inside the interval
-    return midpoint(interval) if value is None else value
-
-
 def _passes(hist: Histogram, params: SegmentationParams):
-    """Yield (residual range, frozen lower classes, frozen upper classes, their error).
+    """Yield (residual lo, residual hi, frozen lower records, frozen upper records, their error).
 
-    One state comes before the first pass and one after each pass, until
-    the first degenerate pass. Pass k never depends on how many follow.
-    The error is the exact integer squared error of the frozen classes,
-    which each pass grows by the :func:`class_error` of the two it freezes.
+    A record ``(lo, hi, value, error)`` is a class [lo, hi], the value its
+    pixels map to and the exact integer squared error of that mapping, all
+    from one moment read. One state comes before the first pass and one
+    after each pass, until the first degenerate pass. Pass k never depends
+    on how many follow. The error is the sum of the frozen records' errors,
+    which each pass grows by those of the two records it freezes.
     """
-    r = SubRange(0, MAX_INTENSITY)
-    lower: tuple[tuple[SubRange, int], ...] = ()
-    upper: tuple[tuple[SubRange, int], ...] = ()
+    by_midpoint = params.replacement is Replacement.MIDPOINT
+    lo, hi = 0, MAX_INTENSITY
+    lower: tuple[tuple[int, int, int, int], ...] = ()
+    upper = lower
     frozen = 0
-    yield r, lower, upper, frozen
+    yield lo, hi, lower, upper, frozen
     for index in range(params.passes):
+        r = SubRange(lo, hi)
         cut = step_thresholds(range_stats(hist, r), r, *params.kappa_for(index))
         if cut is None:
             return
         t1, t2 = cut
-        low_iv = SubRange(r.lo, t1)
-        high_iv = SubRange(t2, r.hi)
-        lower += ((low_iv, _class_value(hist, low_iv, params.replacement)),)
-        upper = ((high_iv, _class_value(hist, high_iv, params.replacement)),) + upper
-        frozen += class_error(hist, (lower[-1], upper[0]))
-        r = SubRange(t1 + 1, t2 - 1)
-        yield r, lower, upper, frozen
+        lower += ((lo, t1, *_class_fit(hist, lo, t1, by_midpoint)[:2]),)
+        upper = ((t2, hi, *_class_fit(hist, t2, hi, by_midpoint)[:2]),) + upper
+        frozen += lower[-1][3] + upper[0][3]
+        lo, hi = t1 + 1, t2 - 1
+        yield lo, hi, lower, upper, frozen
 
 
-def _middle(hist: Histogram, r: SubRange, mode: Replacement):
-    """Split the residual at its rounded mean: (split, the one or two middle classes)."""
-    split = _class_value(hist, r, Replacement.WEIGHTED_MEAN)
-    if split >= r.hi or _moments(hist, SubRange(split + 1, r.hi))[0] == 0:
-        # nothing above the mean: keep the residual range as one class so
-        # every level it covers maps to the same value the pixels map to
-        return split, ((r, _class_value(hist, r, mode)),)
-    low = SubRange(r.lo, split)
-    high = SubRange(split + 1, r.hi)
-    return split, ((low, _class_value(hist, low, mode)), (high, _class_value(hist, high, mode)))
+def _middle(hist: Histogram, lo: int, hi: int, by_midpoint: bool):
+    """Split the residual [lo, hi] at its rounded mean: (split, the one or two middle records)."""
+    split, error, count = _class_fit(hist, lo, hi)
+    low_value, low_error, low_count = _class_fit(hist, lo, split, by_midpoint)
+    if low_count < count:  # the upper class holds the residual's pixels minus the lower's
+        high_value, high_error, _ = _class_fit(hist, split + 1, hi, by_midpoint)
+        return split, ((lo, split, low_value, low_error), (split + 1, hi, high_value, high_error))
+    # nothing above the mean: keep the residual range as one class so
+    # every level it covers maps to the same value the pixels map to
+    whole = _class_fit(hist, lo, hi, True)[:2] if by_midpoint else (split, error)
+    return split, ((lo, hi, *whole),)
 
 
 def segment(hist: Histogram, params: SegmentationParams) -> SegmentationResult:
@@ -225,11 +217,12 @@ def segment(hist: Histogram, params: SegmentationParams) -> SegmentationResult:
     """
     if hist.total == 0:
         raise ValueError("cannot segment an empty image")
-    *_, (r, lower, upper, frozen) = _passes(hist, params)
-    split, middle = _middle(hist, r, params.replacement)
-    thresholds = tuple(iv.hi for iv, _ in lower) + (split,) + tuple(iv.lo for iv, _ in upper)
-    classes = lower + middle + upper
-    return SegmentationResult(thresholds, classes, frozen + class_error(hist, middle))
+    *_, (lo, hi, lower, upper, _) = _passes(hist, params)
+    split, middle = _middle(hist, lo, hi, params.replacement is Replacement.MIDPOINT)
+    records = lower + middle + upper
+    thresholds = tuple(rec[1] for rec in lower) + (split,) + tuple(rec[0] for rec in upper)
+    classes = tuple((SubRange(lo, hi), value) for lo, hi, value, _ in records)
+    return SegmentationResult(thresholds, classes, sum(rec[3] for rec in records))
 
 
 def apply_mapping(image: GrayImage, result: SegmentationResult) -> GrayImage:
@@ -257,10 +250,11 @@ class SweepPoint:
     ``psnr_db`` equals ``psnr(image, quantized)`` for the quantized raster
     of this n, though the sweep never builds that raster, its lookup table
     or its ``SegmentationResult``. ``elapsed_ms`` times what this n adds:
-    one pass (none after an early stop), the middle split and a constant
-    number of :func:`class_error` terms. The earlier passes,
-    the moment table and the one histogram pass the whole sweep shares are
-    not in it.
+    one pass (none after an early stop) and the middle split, one moment
+    read per class. The pass reads the residual's statistics and freezes
+    two ``(lo, hi, value, error)`` records; the split reads the residual's
+    mean and its one or two middle records. The earlier passes, the moment
+    table and the one histogram pass the whole sweep shares are not in it.
     """
 
     n: int
@@ -292,9 +286,9 @@ def auto_select_n(
 
     The pixels are read once, for the histogram, and each pass runs once:
     n adds one pass to those of n-2 (after an early stop, none: the same
-    PSNR again ends the sweep). Each n adds its middle classes' error to
-    the frozen classes' error its pass state carries, as ``segment`` does,
-    from the moment table in O(1) (:func:`class_error`). One division by
+    PSNR again ends the sweep). Each n adds its middle records' errors to
+    the frozen records' error its pass state carries, as ``segment`` does,
+    each from one read of the moment table. One division by
     the pixel count gives the MSE of ``segment``'s ``squared_error`` for
     that n, bit for bit, without a result, a lookup table or a quantized
     raster.
@@ -310,9 +304,9 @@ def auto_select_n(
     for n in range(3, widest.n + 1, 2):
         start = time.perf_counter()
         state = next(passes, state)  # after an early stop, the last state again
-        r, _, _, frozen = state
-        _, middle = _middle(hist, r, base.replacement)
-        value = psnr_from_mse((frozen + class_error(hist, middle)) / hist.total)
+        lo, hi, _, _, frozen = state
+        _, middle = _middle(hist, lo, hi, base.replacement is Replacement.MIDPOINT)
+        value = psnr_from_mse((frozen + sum(rec[3] for rec in middle)) / hist.total)
         elapsed = (time.perf_counter() - start) * 1000.0
         sweep.append(SweepPoint(n=n, psnr_db=value, elapsed_ms=elapsed))
         if math.isinf(value):

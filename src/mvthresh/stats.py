@@ -45,10 +45,27 @@ class RangeStats:
         return self.count == 0
 
 
-def _moments(hist: Histogram, r: SubRange) -> tuple[int, int, int]:
+def _moments(hist: Histogram, lo: int, hi: int) -> tuple[int, int, int]:
     c0, c1, c2 = hist.moments
-    lo, end = r.lo, r.hi + 1
+    end = hi + 1
     return c0[end] - c0[lo], c1[end] - c1[lo], c2[end] - c2[lo]
+
+
+def _class_fit(
+    hist: Histogram, lo: int, hi: int, by_midpoint: bool = False, value: int | None = None
+) -> tuple[int, int, int]:
+    """Value, exact squared error and pixel count of the class [lo, hi], from one moment read.
+
+    Unless ``value`` is given, it is the rounded weighted mean. With
+    ``by_midpoint``, or when the class holds no pixel and so has no mean, it
+    is the midpoint, which stays inside the class.
+    """
+    s0, s1, s2 = _moments(hist, lo, hi)
+    if value is None:
+        # round-half-up of s1/s0 in pure integer arithmetic
+        value = _midpoint(lo, hi) if by_midpoint or not s0 else (2 * s1 + s0) // (2 * s0)
+    # the sum over [lo, hi] of bins[v] * (v - value)^2, expanded into the moments
+    return value, s2 - value * (2 * s1 - value * s0), s0
 
 
 def _interval_grid(hist: Histogram) -> tuple[np.ndarray, np.ndarray]:
@@ -59,7 +76,7 @@ def _interval_grid(hist: Histogram) -> tuple[np.ndarray, np.ndarray]:
 
 def range_stats(hist: Histogram, r: SubRange) -> RangeStats:
     """Count, mean and std of all pixels with intensity in ``r``."""
-    s0, s1, s2 = _moments(hist, r)
+    s0, s1, s2 = _moments(hist, r.lo, r.hi)
     if s0 == 0:
         return RangeStats(count=0, mean=None, std=None)
     mean = s1 / s0
@@ -73,11 +90,8 @@ def weighted_mean(hist: Histogram, r: SubRange) -> int | None:
 
     Returns None when the sub-range holds no pixels.
     """
-    s0, s1, _ = _moments(hist, r)
-    if s0 == 0:
-        return None
-    # round-half-up of s1/s0 in pure integer arithmetic
-    return (2 * s1 + s0) // (2 * s0)
+    value, _, count = _class_fit(hist, r.lo, r.hi)
+    return value if count else None
 
 
 def squared_error(hist: Histogram, r: SubRange, value: int) -> int:
@@ -86,13 +100,16 @@ def squared_error(hist: Histogram, r: SubRange, value: int) -> int:
     The sum over ``r`` of bins[v] * (v - value)^2, expanded into the
     moments as s2 - value * (2*s1 - value*s0).
     """
-    s0, s1, s2 = _moments(hist, r)
-    return s2 - value * (2 * s1 - value * s0)
+    return _class_fit(hist, r.lo, r.hi, value=value)[1]
 
 
 def midpoint(r: SubRange) -> int:
     """Middle intensity of the sub-range, floor((lo+hi)/2)."""
-    return (r.lo + r.hi) // 2
+    return _midpoint(r.lo, r.hi)
+
+
+def _midpoint(lo: int, hi: int) -> int:
+    return (lo + hi) // 2
 
 
 def round_half_up(x: float) -> int:

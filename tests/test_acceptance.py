@@ -240,7 +240,7 @@ def test_c08_recursive_segmenter_is_fast(large_image):
     report(
         "criterion 8: speed (exhaustive k=3 at least 10x slower; n=9 under 500 ms)",
         ratio >= 10.0 and segment9_ms < 500.0,
-        f"ratio {ratio:.0f}x, n=9 median {segment9_ms:.2f} ms",
+        f"ratio {ratio:.1f}x, n=9 median {segment9_ms:.2f} ms",
     )
 
 

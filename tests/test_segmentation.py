@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mvthresh.image as image_module
@@ -22,11 +22,12 @@ from mvthresh.segmentation import (
     SegmentationResult,
     apply_mapping,
     auto_select_n,
+    class_error,
     segment,
     segment_image,
     step_thresholds,
 )
-from mvthresh.stats import SubRange, range_stats
+from mvthresh.stats import SubRange, midpoint, range_stats, squared_error, weighted_mean
 
 from conftest import gray_images, histograms, sparse_histograms
 from helpers import assert_valid_partition, spikes
@@ -459,6 +460,44 @@ class TestAutoSelect:
         assert len(sweep) > 1
         assert len(calls) <= (15 - 1) // 2
 
+    def test_one_moment_read_per_class(self, natural_images, monkeypatch):
+        """Each class a sweep row or ``segment`` produces costs one moment read.
+
+        On top of those, each pass reads its residual's statistics, and each
+        row (or ``segment``) reads the residual's mean, where the middle split goes.
+        """
+        reads = {"range_stats": 0, "_class_fit": 0}
+
+        def counting(name):
+            real = getattr(seg_module, name)
+
+            def wrapper(*args, **kwargs):
+                reads[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(seg_module, name, wrapper)
+
+        img = natural_images["soft_blobs"]
+        hist = compute_histogram(img)
+        counting("range_stats")
+        counting("_class_fit")
+        _, sweep = auto_select_n(img, SegmentationParams(n=3), 1e-12, 15)
+        sweep_reads = dict(reads)
+        reads.update(range_stats=0, _class_fit=0)
+        result = segment(hist, SegmentationParams(n=15))
+        segment_reads = dict(reads)
+        monkeypatch.undo()
+
+        assert len(sweep) > 1
+        # a result with n thresholds froze (n - 1) / 2 pairs of classes
+        rows = [segment(hist, SegmentationParams(n=p.n)) for p in sweep]
+        frozen = [len(row.thresholds) - 1 for row in rows]
+        middle = [len(row.classes) - f for row, f in zip(rows, frozen)]
+        assert sweep_reads["range_stats"] <= 7
+        assert sweep_reads["_class_fit"] <= frozen[-1] + sum(1 + m for m in middle)
+        assert segment_reads["range_stats"] <= 7
+        assert segment_reads["_class_fit"] <= len(result.classes) + 1
+
     def test_rows_need_no_result_and_no_lookup_table(self, natural_images, monkeypatch):
         """Each row is scored from the moment table alone."""
 
@@ -541,6 +580,39 @@ class TestAutoSelect:
         want, rows = auto_select_n(img, SegmentationParams(n=3), 1e-12, 7)
         assert type(chosen) is int and chosen == want
         assert [p.psnr_db for p in sweep] == [p.psnr_db for p in rows]
+
+
+class TestClassRecords:
+    """Every ``(lo, hi, value, error)`` record agrees with the one-formula public functions."""
+
+    @staticmethod
+    def check(hist, mode, records):
+        for lo, hi, value, error in records:
+            r = SubRange(lo, hi)
+            mean = weighted_mean(hist, r)
+            use_midpoint = mode is Replacement.MIDPOINT or mean is None
+            assert value == (midpoint(r) if use_midpoint else mean)
+            assert error == squared_error(hist, r, value)
+
+    @given(
+        st.one_of(histograms(), sparse_histograms()),
+        st.lists(st.tuples(kappas, kappas), min_size=1, max_size=3),
+        st.sampled_from(list(Replacement)),
+        st.sampled_from([3, 5, 9, 15]),
+    )
+    @example(Histogram(np.r_[2**40, np.zeros(254, np.int64), 2**40]), [(1.0, 1.0)],
+             Replacement.WEIGHTED_MEAN, 5)
+    @example(Histogram(np.zeros(256, np.int64)), [(1.0, 1.0)], Replacement.MIDPOINT, 3)
+    def test_records_match_public_formulas(self, hist, schedule, mode, n):
+        params = SegmentationParams(n=n, kappa_schedule=tuple(schedule), replacement=mode)
+        for lo, hi, lower, upper, frozen in seg_module._passes(hist, params):
+            self.check(hist, mode, lower + upper)
+            pairs = [(SubRange(lo, hi), value) for lo, hi, value, _ in lower + upper]
+            assert frozen == class_error(hist, pairs)
+            split, middle = seg_module._middle(hist, lo, hi, mode is Replacement.MIDPOINT)
+            self.check(hist, mode, middle)
+            assert middle[0][0] == lo and middle[-1][1] == hi
+            assert len(middle) == 1 or middle[0][1] == split
 
 
 class TestComplexity:
