@@ -36,7 +36,6 @@ from .stats import (
     _class_fit,
     range_stats,
     round_half_up,
-    squared_error,
 )
 
 
@@ -149,9 +148,9 @@ class SegmentationResult:
 
 
 def step_thresholds(
-    stats: RangeStats, r: SubRange, kappa1: float, kappa2: float
+    stats: RangeStats, lo: int, hi: int, kappa1: float, kappa2: float
 ) -> tuple[int, int] | None:
-    """Cut positions mu - k1*sigma and mu + k2*sigma, clamped into ``r``.
+    """Cut positions mu - k1*sigma and mu + k2*sigma, clamped into [lo, hi].
 
     Returns None (degenerate) when the range is empty of pixels or the cuts
     leave no interior sub-range to recurse on.
@@ -159,8 +158,8 @@ def step_thresholds(
     if stats.empty:
         return None
     # clamp before rounding: a huge kappa makes the float cut infinite
-    t1 = round_half_up(min(max(stats.mean - kappa1 * stats.std, r.lo), r.hi))
-    t2 = round_half_up(min(max(stats.mean + kappa2 * stats.std, r.lo), r.hi))
+    t1 = round_half_up(min(max(stats.mean - kappa1 * stats.std, lo), hi))
+    t2 = round_half_up(min(max(stats.mean + kappa2 * stats.std, lo), hi))
     if t2 - t1 < 2:
         return None
     return t1, t2
@@ -183,8 +182,7 @@ def _passes(hist: Histogram, params: SegmentationParams):
     frozen = 0
     yield lo, hi, lower, upper, frozen
     for index in range(params.passes):
-        r = SubRange(lo, hi)
-        cut = step_thresholds(range_stats(hist, r), r, *params.kappa_for(index))
+        cut = step_thresholds(range_stats(hist, lo, hi), lo, hi, *params.kappa_for(index))
         if cut is None:
             return
         t1, t2 = cut
@@ -217,12 +215,11 @@ def segment(hist: Histogram, params: SegmentationParams) -> SegmentationResult:
     """
     if hist.total == 0:
         raise ValueError("cannot segment an empty image")
-    *_, (lo, hi, lower, upper, _) = _passes(hist, params)
+    *_, (lo, hi, lower, upper, frozen) = _passes(hist, params)
     split, middle = _middle(hist, lo, hi, params.replacement is Replacement.MIDPOINT)
-    records = lower + middle + upper
     thresholds = tuple(rec[1] for rec in lower) + (split,) + tuple(rec[0] for rec in upper)
-    classes = tuple((SubRange(lo, hi), value) for lo, hi, value, _ in records)
-    return SegmentationResult(thresholds, classes, sum(rec[3] for rec in records))
+    classes = tuple((SubRange(lo, hi), value) for lo, hi, value, _ in lower + middle + upper)
+    return SegmentationResult(thresholds, classes, frozen + sum(rec[3] for rec in middle))
 
 
 def apply_mapping(image: GrayImage, result: SegmentationResult) -> GrayImage:
@@ -268,7 +265,7 @@ def class_error(hist: Histogram, classes) -> int:
     O(1) per class from the moment table. Over a segmentation's classes,
     divided by ``hist.total``, it is the MSE the quantized pixels give, bit for bit.
     """
-    return sum(squared_error(hist, interval, value) for interval, value in classes)
+    return sum(_class_fit(hist, iv.lo, iv.hi, value=value)[1] for iv, value in classes)
 
 
 def auto_select_n(

@@ -1,5 +1,7 @@
-"""Sub-range statistics over a histogram: count, mean, deviation, replacements.
+"""Class statistics over a histogram, each one read of its moment table.
 
+Every reader names a class by its inclusive bounds ``(hist, lo, hi)``, and
+``_class_fit`` is the one reader of a class's value and exact squared error.
 Sums are accumulated as exact Python integers before a single real division,
 so results are deterministic across platforms; only the Otsu scan's interval
 grid is float64. Standard deviation is the population form (divide by N):
@@ -63,7 +65,7 @@ def _class_fit(
     s0, s1, s2 = _moments(hist, lo, hi)
     if value is None:
         # round-half-up of s1/s0 in pure integer arithmetic
-        value = _midpoint(lo, hi) if by_midpoint or not s0 else (2 * s1 + s0) // (2 * s0)
+        value = (lo + hi) // 2 if by_midpoint or not s0 else (2 * s1 + s0) // (2 * s0)
     # the sum over [lo, hi] of bins[v] * (v - value)^2, expanded into the moments
     return value, s2 - value * (2 * s1 - value * s0), s0
 
@@ -74,42 +76,15 @@ def _interval_grid(hist: Histogram) -> tuple[np.ndarray, np.ndarray]:
     return s[None, 1:] - s[:-1, None], c[None, 1:] - c[:-1, None]
 
 
-def range_stats(hist: Histogram, r: SubRange) -> RangeStats:
-    """Count, mean and std of all pixels with intensity in ``r``."""
-    s0, s1, s2 = _moments(hist, r.lo, r.hi)
+def range_stats(hist: Histogram, lo: int, hi: int) -> RangeStats:
+    """Count, mean and std of all pixels with intensity in [lo, hi]."""
+    s0, s1, s2 = _moments(hist, lo, hi)
     if s0 == 0:
         return RangeStats(count=0, mean=None, std=None)
     mean = s1 / s0
     # exact integer numerator: s0*s2 - s1^2 == s0^2 * variance
     var = (s0 * s2 - s1 * s1) / (s0 * s0)
     return RangeStats(count=s0, mean=mean, std=math.sqrt(var))
-
-
-def weighted_mean(hist: Histogram, r: SubRange) -> int | None:
-    """Count-weighted intensity mean over ``r``, rounded half up.
-
-    Returns None when the sub-range holds no pixels.
-    """
-    value, _, count = _class_fit(hist, r.lo, r.hi)
-    return value if count else None
-
-
-def squared_error(hist: Histogram, r: SubRange, value: int) -> int:
-    """Exact squared error of replacing every pixel in ``r`` by ``value``.
-
-    The sum over ``r`` of bins[v] * (v - value)^2, expanded into the
-    moments as s2 - value * (2*s1 - value*s0).
-    """
-    return _class_fit(hist, r.lo, r.hi, value=value)[1]
-
-
-def midpoint(r: SubRange) -> int:
-    """Middle intensity of the sub-range, floor((lo+hi)/2)."""
-    return _midpoint(r.lo, r.hi)
-
-
-def _midpoint(lo: int, hi: int) -> int:
-    return (lo + hi) // 2
 
 
 def round_half_up(x: float) -> int:

@@ -27,13 +27,11 @@ from mvthresh.segmentation import (
     segment_image,
     step_thresholds,
 )
-from mvthresh.stats import SubRange, midpoint, range_stats, squared_error, weighted_mean
+from mvthresh.stats import SubRange, range_stats
 
 from conftest import gray_images, histograms, sparse_histograms
 from helpers import assert_valid_partition, spikes
-from oracles import reference_segment
-
-FULL = SubRange(0, 255)
+from oracles import reference_segment, weighted_mean_int
 
 kappas = st.one_of(st.floats(min_value=0.05, max_value=5.0), st.just(1e308))
 
@@ -96,35 +94,35 @@ class TestParams:
 class TestStepThresholds:
     def test_uniform_full_range(self):
         hist = Histogram(np.ones(256, dtype=np.int64))
-        stats = range_stats(hist, FULL)
-        assert step_thresholds(stats, FULL, 1.0, 1.0) == (54, 201)
+        stats = range_stats(hist, 0, 255)
+        assert step_thresholds(stats, 0, 255, 1.0, 1.0) == (54, 201)
 
     def test_zero_variance_is_degenerate(self):
-        stats = range_stats(spikes((100, 64)), FULL)
+        stats = range_stats(spikes((100, 64)), 0, 255)
         assert stats.std == 0.0
-        assert step_thresholds(stats, FULL, 1.0, 1.0) is None
-        assert step_thresholds(stats, FULL, 10.0, 10.0) is None
+        assert step_thresholds(stats, 0, 255, 1.0, 1.0) is None
+        assert step_thresholds(stats, 0, 255, 10.0, 10.0) is None
 
     def test_empty_stats_degenerate(self):
-        stats = range_stats(spikes((200, 5)), SubRange(0, 100))
-        assert step_thresholds(stats, SubRange(0, 100), 1.0, 1.0) is None
+        stats = range_stats(spikes((200, 5)), 0, 100)
+        assert step_thresholds(stats, 0, 100, 1.0, 1.0) is None
 
     def test_cuts_clamped_into_range(self):
         hist = spikes((0, 100), (255, 100))
-        stats = range_stats(hist, FULL)
-        t1, t2 = step_thresholds(stats, FULL, 2.0, 2.0)
+        stats = range_stats(hist, 0, 255)
+        t1, t2 = step_thresholds(stats, 0, 255, 2.0, 2.0)
         assert (t1, t2) == (0, 255)
 
     def test_asymmetric_kappa(self):
         # uniform histogram: mu=127.5, sigma=73.9003
         hist = Histogram(np.ones(256, dtype=np.int64))
-        stats = range_stats(hist, FULL)
-        assert step_thresholds(stats, FULL, 0.5, 1.5) == (91, 238)
+        stats = range_stats(hist, 0, 255)
+        assert step_thresholds(stats, 0, 255, 0.5, 1.5) == (91, 238)
 
     def test_huge_kappa_clamps_to_range_ends(self):
         hist = Histogram(np.ones(256, dtype=np.int64))
-        stats = range_stats(hist, FULL)
-        assert step_thresholds(stats, FULL, 1e308, 1e308) == (0, 255)
+        stats = range_stats(hist, 0, 255)
+        assert step_thresholds(stats, 0, 255, 1e308, 1e308) == (0, 255)
 
 
 class TestSegment:
@@ -452,7 +450,7 @@ class TestAutoSelect:
         calls = []
         real = seg_module.range_stats
         monkeypatch.setattr(
-            seg_module, "range_stats", lambda h, r: calls.append(r) or real(h, r)
+            seg_module, "range_stats", lambda h, lo, hi: calls.append((lo, hi)) or real(h, lo, hi)
         )
         _, sweep = auto_select_n(
             natural_images["soft_blobs"], SegmentationParams(n=3), 1e-12, 15
@@ -583,16 +581,15 @@ class TestAutoSelect:
 
 
 class TestClassRecords:
-    """Every ``(lo, hi, value, error)`` record agrees with the one-formula public functions."""
+    """Every ``(lo, hi, value, error)`` record agrees with brute-force sums over its bins."""
 
     @staticmethod
     def check(hist, mode, records):
         for lo, hi, value, error in records:
-            r = SubRange(lo, hi)
-            mean = weighted_mean(hist, r)
+            mean = weighted_mean_int(list(hist.bins), lo, hi)
             use_midpoint = mode is Replacement.MIDPOINT or mean is None
-            assert value == (midpoint(r) if use_midpoint else mean)
-            assert error == squared_error(hist, r, value)
+            assert value == ((lo + hi) // 2 if use_midpoint else mean)
+            assert error == sum(int(hist.bins[v]) * (v - value) ** 2 for v in range(lo, hi + 1))
 
     @given(
         st.one_of(histograms(), sparse_histograms()),
@@ -614,6 +611,17 @@ class TestClassRecords:
             assert middle[0][0] == lo and middle[-1][1] == hi
             assert len(middle) == 1 or middle[0][1] == split
 
+    def test_only_result_classes_build_a_subrange(self, natural_images, monkeypatch):
+        """Passes and rows name classes by integer bounds; ``segment`` builds one per class."""
+        built = []
+        real = SubRange.__post_init__
+        monkeypatch.setattr(SubRange, "__post_init__", lambda r: built.append(r) or real(r))
+        img = natural_images["soft_blobs"]
+        _, sweep = auto_select_n(img, SegmentationParams(n=3), 1e-12, 15)
+        assert len(sweep) > 1 and built == []
+        result = segment(compute_histogram(img), SegmentationParams(n=15))
+        assert len(built) == len(result.classes)
+
 
 class TestComplexity:
     def test_pixel_count_dominates_runtime(self, large_image):
@@ -632,7 +640,9 @@ class TestComplexity:
         calls = []
         real = seg_module.range_stats
         monkeypatch.setattr(
-            seg_module, "range_stats", lambda h, r: calls.append(r.hi - r.lo + 1) or real(h, r)
+            seg_module,
+            "range_stats",
+            lambda h, lo, hi: calls.append(hi - lo + 1) or real(h, lo, hi),
         )
         rng = np.random.default_rng(3)
         bins = rng.integers(1, 50, size=256).astype(np.int64)
