@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .image import GrayImage, PgmError, _p5_header, compute_histogram, read_pgm
 from .otsu import otsu_multilevel_exhaustive
-from .quality import format_db, median_elapsed_ms, psnr_from_mse, timed
+from .quality import format_db, median_elapsed_ms, psnr_from_mse, psnr_from_mse_exact, timed
 from .segmentation import Replacement, SegmentationParams, auto_select_n, segment_image
 
 EXIT_OK = 0
@@ -57,7 +57,8 @@ def _segmentation_params(args) -> SegmentationParams:
 
 
 def _load_image(path: str) -> GrayImage:
-    return read_pgm(Path(path).read_bytes())
+    with io.FileIO(path) as fh:  # unbuffered: one read of the whole file
+        return read_pgm(fh.readall())
 
 
 # libc's fallocate(2), not os.posix_fallocate: where a file system cannot
@@ -128,7 +129,6 @@ def cmd_segment(args) -> int:
     image = _load_image(args.input)
     (result, quantized), elapsed = timed(segment_image, image, params)
     err = result.squared_error / image.pixels.size
-    psnr_db = psnr_from_mse(err)
     files = {args.output: (_p5_header(quantized), quantized.pixels)}
     if args.report:
         report = {
@@ -137,14 +137,16 @@ def cmd_segment(args) -> int:
             "thresholds": list(result.thresholds),
             "classes": [{"lo": iv.lo, "hi": iv.hi, "value": value} for iv, value in result.classes],
             "effective_n": result.effective_n,
-            "quality": {"mse": err, "psnr_db": format_db(psnr_db), "elapsed_ms": elapsed},
+            "quality": {
+                "mse": err, "psnr_db": format_db(psnr_from_mse_exact(err)), "elapsed_ms": elapsed
+            },
         }
         files[args.report] = (json.dumps(report, indent=2).encode("utf-8"),)
     _replace_files(files)
 
     _print_thresholds(result.thresholds)
     print(f"effective_n: {result.effective_n}")
-    print(f"psnr_db: {format_db(psnr_db, 2)}")
+    print(f"psnr_db: {format_db(psnr_from_mse(err), 2)}")
     return EXIT_OK
 
 
@@ -153,10 +155,9 @@ def cmd_sweep(args) -> int:
     chosen, sweep = auto_select_n(
         image, SegmentationParams(n=3), epsilon=args.epsilon, n_max=args.max_levels
     )
-    rows = [[point.n, format_db(point.psnr_db, 4), f"{point.elapsed_ms:.3f}"] for point in sweep]
-    text = io.StringIO()
-    csv.writer(text).writerows([["n", "psnr_db", "elapsed_ms"], *rows])
-    data = text.getvalue().encode("utf-8")
+    # the bytes csv.writer gives: no field is quoted, as each is a number or "inf"
+    rows = (f"{point.n},{format_db(point.psnr_db, 4)},{point.elapsed_ms:.3f}\r\n" for point in sweep)
+    data = "".join(("n,psnr_db,elapsed_ms\r\n", *rows)).encode("ascii")
     # Overwritten in place, then cut to length: ext4 flushes a file at close
     # only after it was truncated to zero, which O_TRUNC would do. Only a
     # regular file is cut (ftruncate fails on /dev/null).

@@ -6,8 +6,9 @@ rescanning pixels.
 
 The two passes over the pixels, the histogram and the lookup-table mapping,
 read the raster as native uint16 byte pairs through 65536-entry tables, in
-blocks, at every size, which halves their per-pixel work and bounds their
-temporaries.
+blocks, which halves their per-pixel work and bounds their temporaries. The
+mapping does so at every size; the histogram of a raster with fewer pairs than
+its table has entries is tallied byte by byte, where filling the table costs more.
 A buffer from outside the package is copied once, into the dtype kept (uint8
 pixels, int64 bins); an array the package just made, a decoded or mapped
 raster or the bins ``compute_histogram`` counted, is frozen in place. A P5
@@ -204,9 +205,10 @@ def _pair_blocks(pixels: np.ndarray):
 def compute_histogram(image: GrayImage) -> Histogram:
     """Tally pixels per intensity; bins[v] counts pixels of value v."""
     pixels = image.pixels
+    if pixels.size < 2 * LEVELS * LEVELS:  # fewer pairs than the pair table has entries
+        return Histogram._owning(np.bincount(pixels, minlength=LEVELS).astype(np.int64), pixels.size)
     blocks = _pair_blocks(pixels)
-    # the first block's count is the table: zero-filling a separate 512 KiB
-    # one and adding into it costs more than a small raster's whole count
+    # the first block's count is the table, not added into a zero-filled one
     table = np.bincount(next(blocks), minlength=LEVELS * LEVELS)
     for block in blocks:
         table += np.bincount(block, minlength=LEVELS * LEVELS)

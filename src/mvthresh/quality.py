@@ -7,6 +7,7 @@ floating-point overflow.
 
 from __future__ import annotations
 
+import decimal
 import math
 import statistics
 import time
@@ -34,6 +35,22 @@ def psnr_from_mse(err: float) -> float:
     if err == 0.0:
         return math.inf
     return 10.0 * math.log10(MAX_INTENSITY * MAX_INTENSITY / err)
+
+
+# 40 digits, where a float holds 17: rounded to a float, their log10 is the correctly
+# rounded one, which no C library's log10 promises
+_LOG10_CONTEXT = decimal.Context(prec=40)
+
+
+def psnr_from_mse_exact(err: float) -> float:
+    """``psnr_from_mse`` with a correctly rounded log10: the same bits on every platform.
+
+    Only the log10 differs; the division and the scaling by 10 are float, as there.
+    """
+    if err == 0.0:
+        return math.inf
+    ratio = decimal.Decimal(MAX_INTENSITY * MAX_INTENSITY / err)
+    return 10.0 * float(_LOG10_CONTEXT.log10(ratio))
 
 
 def psnr(a: GrayImage, b: GrayImage) -> float:

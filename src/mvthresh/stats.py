@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +31,7 @@ class SubRange:
             raise ValueError(f"invalid sub-range [{self.lo}, {self.hi}]")
 
 
-@dataclass(frozen=True)
-class RangeStats:
+class RangeStats(NamedTuple):
     """Pixel count, mean and population std of one sub-range.
 
     An empty sub-range has ``count == 0`` and ``mean is std is None``;
@@ -80,11 +80,11 @@ def range_stats(hist: Histogram, lo: int, hi: int) -> RangeStats:
     """Count, mean and std of all pixels with intensity in [lo, hi]."""
     s0, s1, s2 = _moments(hist, lo, hi)
     if s0 == 0:
-        return RangeStats(count=0, mean=None, std=None)
+        return RangeStats(0, None, None)
     mean = s1 / s0
     # exact integer numerator: s0*s2 - s1^2 == s0^2 * variance
     var = (s0 * s2 - s1 * s1) / (s0 * s0)
-    return RangeStats(count=s0, mean=mean, std=math.sqrt(var))
+    return RangeStats(s0, mean, math.sqrt(var))
 
 
 def round_half_up(x: float) -> int:

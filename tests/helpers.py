@@ -1,4 +1,6 @@
-"""Shared test helpers: spike histograms and the segmentation invariants."""
+"""Shared test helpers: spike histograms, the segmentation invariants and a decimal PSNR."""
+
+import decimal
 
 import numpy as np
 
@@ -35,3 +37,17 @@ def assert_valid_partition(result, requested_n=None):
     assert np.all(np.diff(lut.astype(np.int64)) >= 0), "lut not monotone"
     for interval, value in result.classes:
         assert np.all(lut[interval.lo : interval.hi + 1] == value)
+
+
+_DIGITS60 = decimal.Context(prec=60)
+_LN10 = _DIGITS60.ln(10)
+
+
+def decimal_psnr(err):
+    """``10.0 * log10(65025 / err)`` with the log10 taken as ln(x) / ln(10) in 60 digits.
+
+    The division and the scaling are float, so only the log10 differs from
+    ``math.log10``'s, which C libraries do not promise to round correctly.
+    """
+    ratio = decimal.Decimal(255 * 255 / err)
+    return 10.0 * float(_DIGITS60.divide(_DIGITS60.ln(ratio), _LN10))

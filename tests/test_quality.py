@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from mvthresh.quality import (
     mse,
     psnr,
     psnr_from_mse,
+    psnr_from_mse_exact,
     timed,
 )
 from mvthresh.segmentation import Replacement, SegmentationParams, class_error, segment_image
 
 from conftest import gray_images
+from helpers import decimal_psnr
 
 
 def img(values, width=None):
@@ -101,6 +104,23 @@ class TestHistogramMse:
         err = result.squared_error / hist.total
         assert err == mse(img, quantized)
         assert psnr_from_mse(err) == psnr(img, quantized)
+
+
+class TestExactPsnr:
+    def test_matches_the_decimal_log10_on_cli_shaped_inputs(self):
+        """A segment report's err is E / N, E squared errors over N pixels.
+
+        glibc's log10 is off in the last bit for a few percent of these.
+        """
+        rng = random.Random(0)
+        wrong = []
+        for _ in range(1000):
+            pixels = rng.randint(1, 1 << 22)
+            errors = max(1, round(10 ** rng.uniform(-2, 4.8) * pixels))
+            err = errors / pixels
+            if psnr_from_mse_exact(err) != decimal_psnr(err):
+                wrong.append((errors, pixels))
+        assert wrong == []
 
 
 class TestDbText:

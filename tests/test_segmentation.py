@@ -265,6 +265,7 @@ class TestApplyMapping:
 
 
 _CUTOFF = 4 * image_module._PAIR_BLOCK  # the pixels in two full blocks
+_SWITCH = 2 * 256 * 256  # the fewest pixels the histogram counts in pairs: a pair per table entry
 
 
 @st.composite
@@ -287,7 +288,8 @@ class TestPairPasses:
     @pytest.mark.parametrize("fill", ["random", "zeros", "full"])
     @pytest.mark.parametrize(
         "size",
-        [1, 2, 3, _CUTOFF - 2, _CUTOFF - 1, _CUTOFF, _CUTOFF + 1, _CUTOFF + 2, _CUTOFF + 2001],
+        [1, 2, 3, _SWITCH - 1, _SWITCH, _SWITCH + 1,
+         _CUTOFF - 2, _CUTOFF - 1, _CUTOFF, _CUTOFF + 1, _CUTOFF + 2, _CUTOFF + 2001],
     )
     def test_match_the_one_byte_passes(self, size, fill, seed, result):
         # all-0 and all-255 rasters fill only pair bins 0 and 65535
@@ -299,6 +301,16 @@ class TestPairPasses:
         img = GrayImage(size, 1, pixels)
         assert np.array_equal(compute_histogram(img).bins, np.bincount(pixels, minlength=256))
         assert np.array_equal(apply_mapping(img, result).pixels, result.lut[pixels])
+
+    @pytest.mark.parametrize(
+        "size, paired", [(1, False), (_SWITCH - 1, False), (_SWITCH, True), (_SWITCH + 1, True)]
+    )
+    def test_histogram_counts_in_pairs_only_from_the_switch(self, monkeypatch, size, paired):
+        """Below a pair per pair-table entry, filling the table costs more than the count."""
+        calls, real = [], image_module._pair_blocks
+        monkeypatch.setattr(image_module, "_pair_blocks", lambda p: calls.append(p.size) or real(p))
+        compute_histogram(GrayImage(size, 1, np.zeros(size, dtype=np.uint8)))
+        assert calls == ([size] if paired else [])
 
     @given(lookup_results())
     def test_pair_table_maps_both_native_bytes(self, result):
