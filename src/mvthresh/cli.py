@@ -74,9 +74,12 @@ if _fallocate is not None:
 def _replace_files(files: dict[str, Sequence]) -> None:
     """Write each path's byte chunks to a file beside it, then rename each into place.
 
-    A path that is a directory is rejected before anything is written, and
-    every file is written in full before any is replaced, so a failure before
-    the renames keeps every old file. A rename that fails after others have
+    A path that exists and is no regular file (a directory, a FIFO, a device)
+    is rejected before anything is written; a symlink to a regular file is
+    replaced by the file. A temporary's name has 26 bytes whatever its
+    target's, so every target name up to NAME_MAX can be written. Every file
+    is written in full before any is replaced, so a failure before the
+    renames keeps every old file. A rename that fails after others have
     succeeded leaves those paths replaced and its own and later paths as they
     were. Either way no temporary file is left, and the error names the path
     asked for, not its temporary.
@@ -99,9 +102,10 @@ def _replace_files(files: dict[str, Sequence]) -> None:
                 raise TypeError(f"chunks for {path} must be a sequence, got {type(chunks).__name__}")
             if os.path.isdir(path):  # its rename would fail after the others replaced theirs
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            if os.path.exists(path) and not os.path.isfile(path):  # a rename would replace it
+                raise FileExistsError(errno.EEXIST, "Not a regular file", path)
         for path, chunks in files.items():
-            target = Path(path)
-            temp = target.parent / f".{target.name}.{os.urandom(6).hex()}.tmp"
+            temp = Path(path).parent / f".mvthresh-{os.urandom(6).hex()}.tmp"
             with open(temp, "xb") as fh:
                 temps[path] = temp
                 size = sum(memoryview(chunk).nbytes for chunk in chunks)

@@ -186,6 +186,19 @@ class Histogram:
         return np.array_equal(self.bins, other.bins)
 
 
+def _moments(hist: Histogram, lo: int, hi: int) -> tuple[int, int, int]:
+    """Exact count, sum and squared sum of the class [lo, hi]; only the Otsu grid is float64."""
+    c0, c1, c2 = hist.moments
+    end = hi + 1
+    return c0[end] - c0[lo], c1[end] - c1[lo], c2[end] - c2[lo]
+
+
+def _interval_grid(hist: Histogram) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 intensity sums and pixel counts of the classes [u, v] at [u, v], u <= v."""
+    c, s = np.array(hist.moments[:2], dtype=np.float64)
+    return s[None, 1:] - s[:-1, None], c[None, 1:] - c[:-1, None]
+
+
 # Byte pairs per block: bounds the intp temporaries of bincount and take.
 # Measured best of 2^14-2^19: larger blocks gain at most 0.5 ms on the
 # 2048x2048 histogram but make the 512x512 mapping about three times slower.

@@ -23,8 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .image import LEVELS, MAX_INTENSITY, Histogram, _integer
-from .stats import _interval_grid, _moments
+from .image import LEVELS, MAX_INTENSITY, Histogram, _integer, _interval_grid, _moments
 
 # maximizing sum(w_c * mu_c^2) is equivalent to maximizing the between-class
 # variance (they differ by the constant mu_total^2); the scan works with

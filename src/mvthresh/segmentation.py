@@ -9,6 +9,10 @@ cannot be cut any further stop the recursion early with fewer thresholds.
 
 All cut positions are derived from mean/deviation only; the replacement mode
 (weighted mean vs. interval midpoint) affects output intensities, not cuts.
+
+A class [lo, hi] is read from the moment table as exact Python integers up to
+one real division, so results match on every platform. Its std is the
+population form (divide by N): the histogram is the whole pixel population.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,16 +32,72 @@ from .image import (
     Histogram,
     _integer,
     _map_pixels,
+    _moments,
     compute_histogram,
 )
 from .quality import psnr_from_mse
-from .stats import (
-    RangeStats,
-    SubRange,
-    _class_fit,
-    range_stats,
-    round_half_up,
-)
+
+
+@dataclass(frozen=True)
+class SubRange:
+    """Inclusive intensity interval [lo, hi]."""
+
+    lo: int
+    hi: int
+
+    def __post_init__(self):
+        if not (0 <= self.lo <= self.hi <= MAX_INTENSITY):
+            raise ValueError(f"invalid sub-range [{self.lo}, {self.hi}]")
+
+
+class RangeStats(NamedTuple):
+    """Pixel count, mean and population std of one sub-range.
+
+    An empty sub-range has ``count == 0`` and ``mean is std is None``;
+    it is a regular outcome, not an error.
+    """
+
+    count: int
+    mean: float | None
+    std: float | None
+
+    @property
+    def empty(self) -> bool:
+        return self.count == 0
+
+
+def _class_fit(
+    hist: Histogram, lo: int, hi: int, by_midpoint: bool = False, value: int | None = None
+) -> tuple[int, int, int]:
+    """Value, exact squared error and pixel count of the class [lo, hi], from one moment read.
+
+    Unless ``value`` is given, it is the rounded weighted mean. With
+    ``by_midpoint``, or when the class holds no pixel and so has no mean, it
+    is the midpoint, which stays inside the class.
+    """
+    s0, s1, s2 = _moments(hist, lo, hi)
+    if value is None:
+        # round-half-up of s1/s0 in pure integer arithmetic
+        value = (lo + hi) // 2 if by_midpoint or not s0 else (2 * s1 + s0) // (2 * s0)
+    # the sum over [lo, hi] of bins[v] * (v - value)^2, expanded into the moments
+    return value, s2 - value * (2 * s1 - value * s0), s0
+
+
+def range_stats(hist: Histogram, lo: int, hi: int) -> RangeStats:
+    """Count, mean and std of all pixels with intensity in [lo, hi]."""
+    s0, s1, s2 = _moments(hist, lo, hi)
+    if s0 == 0:
+        return RangeStats(0, None, None)
+    mean = s1 / s0
+    # exact integer numerator: s0*s2 - s1^2 == s0^2 * variance
+    var = (s0 * s2 - s1 * s1) / (s0 * s0)
+    return RangeStats(s0, mean, math.sqrt(var))
+
+
+def round_half_up(x: float) -> int:
+    """Round to the nearest integer, halves toward +infinity."""
+    whole = math.floor(x)  # not floor(x + 0.5): that add rounds 0.49999999999999994 up to 1
+    return whole + (x - whole >= 0.5)
 
 
 class Replacement(enum.Enum):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from mvthresh.image import GrayImage, Histogram, read_pgm
-from mvthresh.stats import SubRange
+from mvthresh.segmentation import SubRange
 from mvthresh.synthetic import GENERATORS
 
 settings.register_profile(

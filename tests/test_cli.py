@@ -604,6 +604,68 @@ def test_failed_write_keeps_the_old_file(tmp_path, blob_pgm, capsys, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.pgm", "old"]
 
 
+_WRITTEN_BY_RENAME = pytest.mark.parametrize(
+    "flags",
+    [
+        ["segment", "--levels", "5", "--output"],
+        ["otsu", "--classes", "3", "--report"],
+        ["bench", "--levels", "3", "--csv"],
+    ],
+    ids=["segment-output", "otsu-report", "bench-csv"],
+)
+
+
+@pytest.mark.skipif(not hasattr(os, "pathconf"), reason="no pathconf")
+@_WRITTEN_BY_RENAME
+def test_target_name_of_name_max_bytes(tmp_path, blob_pgm, capsys, flags):
+    """A temporary's name does not grow with its target's, so the longest legal name is written."""
+    target = tmp_path / ("t" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+    assert main([*flags, str(target), "--input", str(blob_pgm)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert target.stat().st_size > 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["blobs.pgm", target.name])
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+@_WRITTEN_BY_RENAME
+def test_fifo_target_is_refused_before_any_write(tmp_path, blob_pgm, capsys, flags):
+    """A rename would put a regular file where the FIFO was."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    assert main([*flags, str(fifo), "--input", str(blob_pgm)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert err[0].endswith(f"Not a regular file: {str(fifo)!r}")
+    assert fifo.is_fifo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.pgm", "fifo"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_fifo_report_keeps_the_old_output(tmp_path, blob_pgm, capsys):
+    out, fifo = tmp_path / "q.pgm", tmp_path / "fifo"
+    out.write_bytes(b"an earlier run's output")
+    os.mkfifo(fifo)
+    argv = ["segment", "--input", str(blob_pgm), "--levels", "5", "--output", str(out),
+            "--report", str(fifo)]
+    assert main(argv) == EXIT_IO
+    assert str(fifo) in capsys.readouterr().err
+    assert out.read_bytes() == b"an earlier run's output"
+    assert fifo.is_fifo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.pgm", "fifo", "q.pgm"]
+
+
+def test_symlink_to_a_regular_file_is_replaced_by_the_file(tmp_path, blob_pgm):
+    kept, link = tmp_path / "kept.json", tmp_path / "link.json"
+    kept.write_text("an earlier run's report", encoding="utf-8")
+    link.symlink_to(kept)
+    argv = ["otsu", "--classes", "3", "--report", str(link), "--input", str(blob_pgm)]
+    assert main(argv) == EXIT_OK
+    assert not link.is_symlink() and json.loads(link.read_text(encoding="utf-8"))["classes"] == 3
+    assert kept.read_text(encoding="utf-8") == "an earlier run's report"
+
+
 def _segment_into(blob_pgm, out, report, levels="7"):
     argv = ["segment", "--input", str(blob_pgm), "--levels", levels,
             "--output", str(out), "--report", str(report)]

@@ -699,6 +699,16 @@ class TestHistogram:
             assert (c0[end], c1[end], c2[end]) == moments(hist.bins, 0, end - 1)
         assert c0[256] == hist.total
 
+    @given(histograms())
+    @example(Histogram(np.r_[2**40, np.zeros(254, np.int64), 2**40]))
+    def test_interval_grid_matches_exact_moments(self, hist):
+        """The float grid at [u, v], u <= v, holds the exact moment read's sum and count."""
+        sums, counts = image_module._interval_grid(hist)
+        for u in range(256):
+            exact = [image_module._moments(hist, u, v) for v in range(u, 256)]
+            assert sums[u, u:].tolist() == [float(s1) for _, s1, _ in exact]
+            assert counts[u, u:].tolist() == [float(s0) for s0, _, _ in exact]
+
 
 class TestHostileInput:
     def test_long_digit_header_field(self):

@@ -27,7 +27,7 @@ from mvthresh.segmentation import (
     segment_image,
     step_thresholds,
 )
-from mvthresh.stats import SubRange, range_stats
+from mvthresh.segmentation import SubRange, range_stats
 
 from conftest import gray_images, histograms, sparse_histograms
 from helpers import assert_valid_partition, spikes

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mvthresh.image import GrayImage, Histogram, compute_histogram
-from mvthresh.stats import SubRange, _class_fit, range_stats, round_half_up
+from mvthresh.segmentation import SubRange, _class_fit, range_stats, round_half_up
 
 from conftest import gray_images, histograms, sparse_histograms, subranges
 from oracles import mean_std, moments, weighted_mean_int
